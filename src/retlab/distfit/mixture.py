@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import norm
+from scipy.special import logsumexp, ndtr
 
 from ..errors import InsufficientDataError, ValidationError
 from ..series import ReturnSeries
@@ -90,7 +89,7 @@ def mixture_cdf(fit: MixtureFit, x) -> np.ndarray:
     """Mixture CDF: the weight-averaged component normal CDFs."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     z = (x[:, None] - fit.means[None, :]) / fit.sds[None, :]
-    return norm.cdf(z) @ fit.weights
+    return ndtr(z) @ fit.weights
 
 
 def _quantile_split_init(

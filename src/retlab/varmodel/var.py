@@ -30,6 +30,9 @@ from ..errors import (
 from ..series import Panel
 
 _CRITERIA = ("AIC", "BIC")
+# bootstrap replicates irf runs together: at k=30, n=600 and h=24 a
+# block's working set (panels, MA and response arrays) stays under 50 MB
+_BOOT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -344,19 +347,18 @@ def granger_causality(fit: VarFit) -> GrangerResult:
     beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
     ssr_full = np.sum((target - design @ beta) ** 2, axis=0)
     f_stats = np.full((k, k), np.nan)
-    p_values = np.full((k, k), np.nan)
     for j in range(k):
         drop = [1 + lag * k + j for lag in range(p)]
         keep = [c for c in range(design.shape[1]) if c not in drop]
         sub = design[:, keep]
         beta_r, _, _, _ = np.linalg.lstsq(sub, target, rcond=None)
         ssr_restricted = np.sum((target - sub @ beta_r) ** 2, axis=0)
-        for i in range(k):
-            if i == j:
-                continue
-            f_val = ((ssr_restricted[i] - ssr_full[i]) / p) / (ssr_full[i] / dof)
-            f_stats[i, j] = max(f_val, 0.0)
-            p_values[i, j] = float(f_dist.sf(f_stats[i, j], p, dof))
+        f_val = ((ssr_restricted - ssr_full) / p) / (ssr_full / dof)
+        f_stats[:, j] = np.maximum(f_val, 0.0)
+    np.fill_diagonal(f_stats, np.nan)
+    off = ~np.eye(k, dtype=bool)
+    p_values = np.full((k, k), np.nan)
+    p_values[off] = f_dist.sf(f_stats[off], p, dof)
     for arr in (f_stats, p_values):
         arr.flags.writeable = False
     return GrangerResult(
@@ -369,15 +371,16 @@ def granger_causality(fit: VarFit) -> GrangerResult:
 
 
 def _ma_coefficients(coeff: np.ndarray, count: int) -> np.ndarray:
-    """Psi_0..Psi_{count-1} from the VAR recursion (Psi_0 = I)."""
-    p, k, _ = coeff.shape
-    psis = np.zeros((count, k, k))
-    psis[0] = np.eye(k)
+    """Psi_0..Psi_{count-1} from the VAR recursion (Psi_0 = I). Leading
+    axes of coeff (..., p, k, k) stack independent models."""
+    *stack, p, k, _ = coeff.shape
+    psis = np.zeros((*stack, count, k, k))
+    psis[..., 0, :, :] = np.eye(k)
     for s in range(1, count):
-        acc = np.zeros((k, k))
+        acc = np.zeros((*stack, k, k))
         for lag in range(1, min(s, p) + 1):
-            acc += coeff[lag - 1] @ psis[s - lag]
-        psis[s] = acc
+            acc += coeff[..., lag - 1, :, :] @ psis[..., s - lag, :, :]
+        psis[..., s, :, :] = acc
     return psis
 
 
@@ -442,9 +445,11 @@ def _validate_ordering(ordering, k: int) -> tuple[int, ...]:
 
 
 def _orthogonal_responses(coeff, sigma, perm, h):
-    """Theta_0..Theta_h in the permuted coordinate system."""
+    """Theta_0..Theta_h in the permuted coordinate system. Leading axes
+    of coeff (..., p, k, k) and sigma (..., k, k) stack independent
+    models; any one that is not positive definite raises."""
     idx = np.array(perm)
-    sigma_p = sigma[np.ix_(idx, idx)]
+    sigma_p = sigma[..., idx[:, None], idx]
     try:
         chol = np.linalg.cholesky(sigma_p)
     except np.linalg.LinAlgError:
@@ -452,8 +457,57 @@ def _orthogonal_responses(coeff, sigma, perm, h):
             "residual covariance is not positive definite under this ordering"
         ) from None
     psis = _ma_coefficients(coeff, h + 1)
-    psis_p = psis[:, idx][:, :, idx]
-    return psis_p @ chol
+    psis_p = psis[..., idx, :][..., idx]
+    return psis_p @ chol[..., None, :, :]
+
+
+def _bootstrap_panels(fit: VarFit, children) -> np.ndarray:
+    """One rebuilt panel per bootstrap replicate, (replicates, n, k).
+
+    Replicate r resamples fit's residuals with the generator seeded by
+    children[r] and runs them through the fitted VAR from the observed
+    first p rows.
+    """
+    values = fit.panel.values
+    n, k = values.shape
+    p = fit.p
+    rows = fit.n_eff
+    draws = np.empty((len(children), rows, k))
+    for r, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        draws[r] = fit.residuals[rng.integers(0, rows, size=rows)]
+    y_star = np.empty((len(children), n, k))
+    y_star[:, :p] = values[:p]
+    for t in range(p, n):
+        acc = fit.intercept + draws[:, t - p]
+        for lag in range(1, p + 1):
+            # a stacked (k,k) @ (k,1) product runs one gemv per replicate,
+            # as the one-replicate recursion does; one gemm over all
+            # replicates would sum in another order and move the bands
+            step = np.matmul(fit.coeff[lag - 1], y_star[:, t - lag, :, None])
+            acc = acc + step[:, :, 0]
+        y_star[:, t] = acc
+    return y_star
+
+
+def _bootstrap_fits(fit: VarFit, children):
+    """OLS refits of the bootstrap panels: coefficients (replicates, p,
+    k, k) and residual covariances (replicates, k, k). The panels are
+    freed on return, before the block's responses are built."""
+    y_star = _bootstrap_panels(fit, children)
+    size, _, k = y_star.shape
+    p = fit.p
+    rows = fit.n_eff
+    m = k * p + 1
+    betas = np.empty((size, m, k))
+    sigmas = np.empty((size, k, k))
+    for r in range(size):
+        target, design = _design(y_star[r], p)
+        beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+        resid = target - design @ beta
+        sigmas[r] = resid.T @ resid / (rows - m)
+        betas[r] = beta
+    return betas[:, 1:].reshape(size, p, k, k).transpose(0, 1, 3, 2), sigmas
 
 
 def irf(
@@ -466,6 +520,12 @@ def irf(
 ) -> IrfResult:
     """Orthogonalized impulse responses out to horizon h, with seeded
     residual-bootstrap bands (n_boot=0 skips the bands).
+
+    Replicate r draws from its own generator, seeded by child r of
+    ``SeedSequence(seed).spawn(n_boot)``. Replicates run in blocks of
+    ``_BOOT_BLOCK``, which bounds the working set beside the
+    (n_boot, h+1, k, k) deviation array; the bands equal, bit for bit,
+    those of running the replicates one at a time.
 
     Raises:
         ValidationError: h < 0, bad ordering, or coverage outside (0,1).
@@ -482,36 +542,15 @@ def irf(
     point = _orthogonal_responses(fit.coeff, fit.residual_cov, perm, h)
     lower = upper = None
     if n_boot > 0:
-        values = np.array(fit.panel.values)
-        p = fit.p
-        n = values.shape[0]
-        rows = fit.n_eff
-        m = k * p + 1
         deviations = np.empty((n_boot, h + 1, k, k))
         children = np.random.SeedSequence(seed).spawn(n_boot)
-        for r, child in enumerate(children):
-            rng = np.random.default_rng(child)
-            draws = fit.residuals[rng.integers(0, rows, size=rows)]
-            y_star = np.empty_like(values)
-            y_star[:p] = values[:p]
-            for t in range(p, n):
-                acc = fit.intercept + draws[t - p]
-                for lag in range(1, p + 1):
-                    acc = acc + fit.coeff[lag - 1] @ y_star[t - lag]
-                y_star[t] = acc
-            target, design = _design(y_star, p)
-            beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-            resid = target - design @ beta
-            sigma = resid.T @ resid / (rows - m)
-            coeff = (
-                beta[1:].reshape(p, k, k).transpose(0, 2, 1)
-                if p > 0
-                else np.zeros((0, k, k))
-            )
-            deviations[r] = np.abs(
-                _orthogonal_responses(coeff, sigma, perm, h) - point
-            )
-        band = np.quantile(deviations, coverage, axis=0)
+        for lo in range(0, n_boot, _BOOT_BLOCK):
+            block = slice(lo, lo + _BOOT_BLOCK)
+            coeff, sigma = _bootstrap_fits(fit, children[block])
+            thetas = _orthogonal_responses(coeff, sigma, perm, h)
+            out = deviations[block]
+            np.abs(np.subtract(thetas, point, out=out), out=out)
+        band = np.quantile(deviations, coverage, axis=0, overwrite_input=True)
         lower = point - band
         upper = point + band
         for arr in (lower, upper):

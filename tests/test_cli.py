@@ -442,6 +442,19 @@ class TestCommands:
         assert proc.returncode == 0, proc.stderr
         assert "describe: ok" in proc.stdout
 
+    def test_python_m_retlab_runs_without_warning(self, tmp_path):
+        """``python -m retlab`` is the no-install way to run the command
+        line; it must not trip runpy's double-import RuntimeWarning."""
+        package_root = str(Path(retlab.__file__).resolve().parents[1])
+        pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "retlab", "--help"],
+            capture_output=True, text=True, timeout=120, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: retlab")
+
     @pytest.mark.skipif(shutil.which("retlab") is None, reason="retlab console script not on PATH")
     def test_installed_console_script_smoke(self, tmp_path):
         cfg = write_run_config(tmp_path)

@@ -1,6 +1,7 @@
 """Unit-root tests and VAR estimation, forecasting, IRF, and FEVD."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from retlab.varmodel import (
     unit_root_tests,
 )
 from retlab.varmodel.unitroot import _dickey_fuller_p_value
+from retlab.varmodel.var import _BOOT_BLOCK
 
 
 def series_of(values, start="2000-01", label="x"):
@@ -520,6 +522,120 @@ class TestIrf:
         )
         with pytest.raises(DecompositionError):
             irf(degenerate, 2, n_boot=0)
+
+
+def loop_bootstrap_bands(fit, h, ordering, n_boot, seed, coverage=0.95):
+    """Reference bootstrap bands: one replicate at a time, each with its
+    own SeedSequence child. irf's blocked replicates must match it bit
+    for bit."""
+
+    def ma_coefficients(coeff, count):
+        p, k, _ = coeff.shape
+        psis = np.zeros((count, k, k))
+        psis[0] = np.eye(k)
+        for s in range(1, count):
+            acc = np.zeros((k, k))
+            for lag in range(1, min(s, p) + 1):
+                acc += coeff[lag - 1] @ psis[s - lag]
+            psis[s] = acc
+        return psis
+
+    def orthogonal_responses(coeff, sigma, idx):
+        chol = np.linalg.cholesky(sigma[np.ix_(idx, idx)])
+        psis = ma_coefficients(coeff, h + 1)
+        return psis[:, idx][:, :, idx] @ chol
+
+    def design_of(values, p):
+        n = values.shape[0]
+        cols = [np.ones(n - p)]
+        for lag in range(1, p + 1):
+            cols.append(values[p - lag : n - lag])
+        return values[p:], np.column_stack(cols)
+
+    k = fit.width
+    idx = np.array(ordering)
+    point = orthogonal_responses(fit.coeff, fit.residual_cov, idx)
+    values = np.array(fit.panel.values)
+    p = fit.p
+    n = values.shape[0]
+    rows = fit.n_eff
+    m = k * p + 1
+    deviations = np.empty((n_boot, h + 1, k, k))
+    children = np.random.SeedSequence(seed).spawn(n_boot)
+    for r, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        draws = fit.residuals[rng.integers(0, rows, size=rows)]
+        y_star = np.empty_like(values)
+        y_star[:p] = values[:p]
+        for t in range(p, n):
+            acc = fit.intercept + draws[t - p]
+            for lag in range(1, p + 1):
+                acc = acc + fit.coeff[lag - 1] @ y_star[t - lag]
+            y_star[t] = acc
+        target, design = design_of(y_star, p)
+        beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+        resid = target - design @ beta
+        sigma = resid.T @ resid / (rows - m)
+        coeff = (
+            beta[1:].reshape(p, k, k).transpose(0, 2, 1)
+            if p > 0
+            else np.zeros((0, k, k))
+        )
+        deviations[r] = np.abs(orthogonal_responses(coeff, sigma, idx) - point)
+    band = np.quantile(deviations, coverage, axis=0)
+    return point - band, point + band
+
+
+def wide_var_sample(seed, n, k):
+    """A stable VAR(1) panel of k series with correlated shocks."""
+    rng = np.random.default_rng(seed)
+    coefficients = 0.4 * np.eye(k) + rng.uniform(-0.03, 0.03, (k, k))
+    residual_cov = 0.5 * np.eye(k) + 0.5
+    return var_sample(
+        seed, n, [coefficients.tolist()], [0.1] * k, residual_cov.tolist(),
+        labels=[f"s{j}" for j in range(k)],
+    )
+
+
+class TestIrfBootstrapBatching:
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    @pytest.mark.parametrize("panel_kind", ["k3", "k12"])
+    def test_bands_match_one_replicate_at_a_time(self, panel_kind, p):
+        if panel_kind == "k3":
+            panel = var_sample(
+                276, 240, [[[0.4, 0.1, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.2]]],
+                [0.2, -0.1, 0.0], [[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]],
+            )
+        else:
+            panel = wide_var_sample(277, 160, 12)
+        fit = fit_var(panel, p)
+        k = fit.width
+        for ordering in (tuple(range(k)), tuple(reversed(range(k)))):
+            for n_boot in (1, _BOOT_BLOCK, _BOOT_BLOCK + 1):
+                lower, upper = loop_bootstrap_bands(fit, 6, ordering, n_boot, 31)
+                result = irf(fit, 6, ordering=ordering, n_boot=n_boot, seed=31)
+                assert np.array_equal(result.lower, lower), (ordering, n_boot)
+                assert np.array_equal(result.upper, upper), (ordering, n_boot)
+
+    def test_peak_memory_stays_near_the_deviation_array(self):
+        # the (n_boot, h+1, k, k) deviations are the one array the band
+        # needs whole; the blocked replicates and the in-place quantile
+        # keep everything else well under it
+        fit = fit_var(wide_var_sample(278, 600, 30), 1)
+        h, n_boot = 24, 400
+        slab = n_boot * (h + 1) * fit.width**2 * 8
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            irf(fit, h, n_boot=n_boot, seed=5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 1.75 * slab, f"peak {peak / slab:.2f}x the deviation array"
 
 
 class TestFevd:
