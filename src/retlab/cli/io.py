@@ -138,24 +138,30 @@ def ingest_long(path: Path) -> Panel:
             f"line {rows[0][0]}: long header must be 'date,series,value', "
             f"got {','.join(header)!r}"
         )
-    by_series: dict[str, dict[Month, float]] = {}
+    # each distinct date text is parsed once; rows bucket by month ordinal
+    ordinals: dict[str, int] = {}
+    by_series: dict[str, dict[int, float]] = {}
     for line_no, cells in rows[1:]:
         if len(cells) != 3:
             raise ParseError(f"line {line_no}: expected 3 cells, got {len(cells)}")
-        month = _parse_month(cells[0], line_no)
+        ordinal = ordinals.get(cells[0])
+        if ordinal is None:
+            ordinal = ordinals[cells[0]] = _parse_month(cells[0], line_no).ordinal
         label = cells[1]
         if not label:
             raise ParseError(f"line {line_no}: empty series name")
         bucket = by_series.setdefault(label, {})
-        if month in bucket:
+        if ordinal in bucket:
             raise ParseError(
-                f"line {line_no}: duplicate row for series {label!r} at {month}"
+                f"line {line_no}: duplicate row for series {label!r} "
+                f"at {Month.from_ordinal(ordinal)}"
             )
         if cells[2] == "":
             raise GapError(
-                f"line {line_no}: missing value for series {label!r} at {month}"
+                f"line {line_no}: missing value for series {label!r} "
+                f"at {Month.from_ordinal(ordinal)}"
             )
-        bucket[month] = _parse_value(cells[2], line_no, label)
+        bucket[ordinal] = _parse_value(cells[2], line_no, label)
     if not by_series:
         raise ParseError(f"{path}: no data rows")
 
@@ -165,10 +171,10 @@ def ingest_long(path: Path) -> Panel:
         for prev, cur in zip(months, months[1:]):
             if cur - prev != 1:
                 raise GapError(
-                    f"series {label!r}: missing month {prev + 1} "
-                    f"between {prev} and {cur}"
+                    f"series {label!r}: missing month {Month.from_ordinal(prev + 1)} "
+                    f"between {Month.from_ordinal(prev)} and {Month.from_ordinal(cur)}"
                 )
-        grid = TimeGrid(months[0], len(months))
+        grid = TimeGrid(Month.from_ordinal(months[0]), len(months))
         series.append(ReturnSeries(label, grid, [bucket[m] for m in months]))
     return align(series)
 
@@ -244,8 +250,8 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def write_panel(path: Path, panel: Panel) -> None:
     """Emit a panel as a wide-layout CSV; `ingest_wide` inverts it exactly."""
     header = ["date"] + list(panel.labels)
-    values = panel.values
     rows = [
-        [str(month)] + list(values[i]) for i, month in enumerate(panel.grid)
+        [month] + values
+        for month, values in zip(panel.grid.labels(), panel.values.tolist())
     ]
     write_csv(path, header, rows)

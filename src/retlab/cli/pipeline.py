@@ -14,6 +14,8 @@ the status but appear in the manifest.
 from __future__ import annotations
 
 import json
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -200,11 +202,15 @@ def _stage_describe(ws: Workspace, config: RunConfig, out_dir: Path):
     fig_prices = []
     fig_correlogram = []
     for s in _targets(ws):
-        for month, value in zip(s.grid, s.values):
-            fig_returns.append([str(month), s.label, value])
+        fig_returns += [
+            [month, s.label, value]
+            for month, value in zip(s.grid.labels(), s.values.tolist())
+        ]
         prices = cumulate_log_price(s)
-        for month, value in zip(prices.grid, prices.values):
-            fig_prices.append([str(month), s.label, value])
+        fig_prices += [
+            [month, s.label, value]
+            for month, value in zip(prices.grid.labels(), prices.values.tolist())
+        ]
         for entry in correlogram(s, s, config.correlogram_lags):
             fig_correlogram.append(
                 ["auto", s.label, entry.lag, entry.value, entry.band]
@@ -343,6 +349,66 @@ def _risk_params(report) -> dict:
     return out
 
 
+def _risk_job(job):
+    """Fit one (series, basis) risk job, capturing its warnings.
+
+    Returns ``(report, warnings, error)``: `warnings` is the list of
+    ``(category, message)`` pairs the fits raised, in order, and exactly
+    one of `report` and `error` (the `RetlabError` text) is None. Runs in
+    a pool worker or in the stage's own process.
+    """
+    s, basis, risk_config = job
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            report, error = risk_report(s, basis=basis, config=risk_config), None
+        except RetlabError as exc:
+            report, error = None, str(exc)
+    return report, [(w.category, str(w.message)) for w in caught], error
+
+
+def _risk_workers(n_jobs: int) -> int:
+    """Worker processes for the risk jobs: one per usable CPU, at most
+    one per job."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(n_jobs, cpus)
+
+
+def _map_risk_jobs(jobs: list) -> list:
+    """`_risk_job` over `jobs`, in job order.
+
+    The jobs run in forked workers when more than one CPU is usable;
+    fork, not spawn, so that a worker does not import scipy again. Every
+    worker is joined before this returns, so their CPU time counts in the
+    caller's ``RUSAGE_CHILDREN`` and no process outlives the stage.
+    """
+    workers = _risk_workers(len(jobs))
+    if workers > 1:
+        # imported here, so that commands without a risk stage do not pay
+        # for them in start-up time and memory
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # a forked child flushes the std streams when it exits: empty
+            # them first so the parent's buffered output is not written twice
+            sys.stdout.flush()
+            sys.stderr.flush()
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                with warnings.catch_warnings():
+                    # Python >= 3.12 warns on forking a process that runs
+                    # threads (BLAS); the workers fork inside map, and the
+                    # warning is not the stage's
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    results = pool.map(_risk_job, jobs)
+                return list(results)
+    return list(map(_risk_job, jobs))
+
+
 def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
     artifacts: list[str] = []
     params: dict = {}
@@ -355,20 +421,21 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
         n_factors=config.n_factors,
         panel=ws.panel,
     )
-    jobs = [(s, "raw-returns") for s in _targets(ws)]
+    jobs = [(s, "raw-returns", risk_config) for s in _targets(ws)]
     if ws.panel.width > config.n_factors:
         jobs += [
-            (ws.panel.select(label), "residuals") for label in ws.panel.labels
+            (ws.panel.select(label), "residuals", risk_config)
+            for label in ws.panel.labels
         ]
 
     rows = []
     vol_rows = []
     density_rows = []
-    for s, basis in jobs:
-        try:
-            report = risk_report(s, basis=basis, config=risk_config)
-        except RetlabError as exc:
-            errors.append(f"{s.label} ({basis}): {exc}")
+    for (s, basis, _), (report, caught, error) in zip(jobs, _map_risk_jobs(jobs)):
+        for category, message in caught:
+            warnings.warn(message, category)
+        if error is not None:
+            errors.append(f"{s.label} ({basis}): {error}")
             continue
         params[f"{s.label}/{basis}"] = _risk_params(report)
         for cell in report.cells:
@@ -380,8 +447,10 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
             continue
         if report.garch is not None:
             sds = np.sqrt(report.garch.conditional_variance_path)
-            for month, sd in zip(s.grid, sds):
-                vol_rows.append([str(month), s.label, sd])
+            vol_rows += [
+                [month, s.label, sd]
+                for month, sd in zip(s.grid.labels(), sds.tolist())
+            ]
         if report.mixture is not None:
             grid = np.linspace(s.values.min(), s.values.max(), 201)
             mix = mixture_pdf(report.mixture, -grid)  # fitted on losses
@@ -470,11 +539,14 @@ def _stage_predict(ws: Workspace, config: RunConfig, out_dir: Path):
         params["granger_dof_denominator"] = granger.dof_denominator
 
     path = forecast(fit, config.forecast_horizon)
-    f_rows = []
-    for step in range(path.horizon):
-        month = panel.grid.end + (step + 1)
-        for j, label in enumerate(path.labels):
-            f_rows.append([str(month), label, path.point[step, j], path.std_err[step, j]])
+    f_rows = [
+        [month, label, point, std_err]
+        for month, points, std_errs in zip(
+            TimeGrid(panel.grid.end + 1, path.horizon).labels(),
+            path.point.tolist(), path.std_err.tolist(),
+        )
+        for label, point, std_err in zip(path.labels, points, std_errs)
+    ]
     artifacts += write_table(
         out_dir, "forecast", f"{config.forecast_horizon}-month forecasts",
         ["month", "series", "point", "std_err"], f_rows,

@@ -82,20 +82,18 @@ def _recursions(params, x, h1):
     n = len(x)
     h = np.empty(n)
     h[0] = h1
-    d_omega = np.zeros(n)
-    d_alpha = np.zeros(n)
-    d_beta = np.zeros(n)
-    d_mu = np.zeros(n)
+    derivatives = np.zeros((4, n))  # d h / d (mu, omega, alpha, beta)
     if n > 1:
-        drive = omega + alpha * eps[:-1] ** 2
+        eps_sq = eps[:-1] ** 2
         a_poly = np.array([1.0, -beta])
-        h[1:] = lfilter([1.0], a_poly, drive, zi=np.array([beta * h1]))[0]
-        zi0 = np.array([0.0])
-        d_omega[1:] = lfilter([1.0], a_poly, np.ones(n - 1), zi=zi0)[0]
-        d_alpha[1:] = lfilter([1.0], a_poly, eps[:-1] ** 2, zi=zi0)[0]
-        d_beta[1:] = lfilter([1.0], a_poly, h[:-1], zi=zi0)[0]
-        d_mu[1:] = lfilter([1.0], a_poly, -2.0 * alpha * eps[:-1], zi=zi0)[0]
-    return eps, h, (d_mu, d_omega, d_alpha, d_beta)
+        h[1:] = lfilter(
+            [1.0], a_poly, omega + alpha * eps_sq, zi=np.array([beta * h1])
+        )[0]
+        # the four derivative recursions share the filter: one call over
+        # the stacked drives runs the same arithmetic row by row
+        drives = np.stack([-2.0 * alpha * eps[:-1], np.ones(n - 1), eps_sq, h[:-1]])
+        derivatives[:, 1:] = lfilter([1.0], a_poly, drives, zi=np.zeros((4, 1)))[0]
+    return eps, h, tuple(derivatives)
 
 
 def garch11_variance_path(params, values, h1: float | None = None) -> np.ndarray:
@@ -125,7 +123,7 @@ def garch11_loglike(params, values, h1: float | None = None):
     eps, h, (d_mu, d_omega, d_alpha, d_beta) = _recursions(
         (mu, omega, alpha, beta), x, h1
     )
-    if np.any(h <= 0) or not np.all(np.isfinite(h)):
+    if (h <= 0).any() or not np.isfinite(h).all():
         return -np.inf, np.zeros(4)
     inv_h = 1.0 / h
     ratio = eps**2 * inv_h

@@ -130,6 +130,15 @@ class TimeGrid:
     def span(self) -> str:
         return f"{self.start}..{self.end}"
 
+    def labels(self) -> list[str]:
+        """ISO year-month text of every month in the grid, in order: the
+        ``str`` of each month, without building the months."""
+        first = self.start.ordinal + 12
+        return [
+            f"{o // 12:04d}-{o % 12 + 1:02d}"
+            for o in range(first, first + self.length)
+        ]
+
     def intersect(self, other: "TimeGrid") -> "TimeGrid | None":
         """Maximal common sub-grid, or None when the spans are disjoint."""
         lo = max(self.start.ordinal, other.start.ordinal)

@@ -1,19 +1,22 @@
 """CSV ingestion, config loading, and the command-line pipeline."""
 
+import dataclasses
 import importlib.resources
 import json
+import multiprocessing
 import os
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import retlab
-from retlab.cli import ingest, ingest_constituents, ingest_long, ingest_wide
+from retlab.cli import ingest, ingest_constituents, ingest_long, ingest_wide, pipeline
 from retlab.cli.config import load_config
 from retlab.cli.io import write_csv, write_panel
 from retlab.cli.main import main
@@ -117,11 +120,21 @@ class TestIngestLong:
                     [f"{m},{s},{v!r}" for m, s, v in shuffled])
         a = ingest_long(sorted_path)
         b = ingest_long(shuffled_path)
+        assert a.grid == b.grid
         assert sorted(a.labels) == sorted(b.labels)
         for label in a.labels:
             np.testing.assert_array_equal(
                 a.select(label).values, b.select(label).values
             )
+
+    def test_malformed_date_names_its_line(self, tmp_path):
+        path = tmp_path / "l.csv"
+        write_lines(path, [
+            "date,series,value", "2003-01,a,1.0", "2003-01,b,1.0",
+            "2003-02,a,2.0", "2003-02,b,2.0", "2003-13,a,3.0", "2003-13,b,3.0",
+        ])
+        with pytest.raises(ParseError, match=r"^line 6: malformed date '2003-13'$"):
+            ingest_long(path)
 
     def test_duplicate_row_rejected(self, tmp_path):
         path = tmp_path / "l.csv"
@@ -477,3 +490,101 @@ class TestBundledDataset:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert all(s["status"] == "ok" for s in summary["stages"])
         assert summary["panel"] == ["REIT", "HOUSE", "PORT"]
+
+
+def count_forks(monkeypatch, warn=False):
+    """Record each ``os.fork`` call; with `warn`, first issue the
+    DeprecationWarning that Python 3.12 gives when a process with threads
+    forks."""
+    made = []
+    real_fork = os.fork
+
+    def fork():
+        made.append(os.getpid())
+        if warn:
+            warnings.warn(
+                f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                "fork() may lead to deadlocks in the child.",
+                DeprecationWarning, stacklevel=2,
+            )
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
+
+
+def run_with_workers(monkeypatch, command, config_path, out_dir, workers):
+    """Run `command` with at most `workers` risk workers; its exit status
+    and every output file's bytes."""
+    monkeypatch.setattr(
+        pipeline, "_risk_workers", lambda n_jobs: min(n_jobs, workers)
+    )
+    map_jobs = pipeline._map_risk_jobs
+
+    def map_jobs_then_check(jobs):
+        results = map_jobs(jobs)
+        assert multiprocessing.active_children() == [], "a risk worker outlived the map"
+        return results
+
+    monkeypatch.setattr(pipeline, "_map_risk_jobs", map_jobs_then_check)
+    config = dataclasses.replace(load_config(config_path), output_dir=out_dir)
+    status = pipeline.run(command, config)
+    return status, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def write_failing_risk_config(tmp_path):
+    """The demo returns plus BIG, a copy of REIT with one +150 % month: the
+    loss series of BIG breaks the -100 % floor, so its raw-return job
+    raises, while MKT's and the residual GARCH fits warn."""
+    lines = (DEMO_DIR / "demo_returns.csv").read_text(encoding="utf-8").splitlines()
+    rows = [lines[0] + ",BIG"]
+    for i, line in enumerate(lines[1:]):
+        big = "150.0" if i == 100 else line.split(",")[1]
+        rows.append(f"{line},{big}")
+    write_lines(tmp_path / "returns.csv", rows)
+    cfg = tmp_path / "risk.cfg"
+    cfg.write_text(
+        "[inputs]\nreturns = returns.csv\nlayout = wide\n"
+        "[series]\nmarket = MKT\npanel = REIT, HOUSE, BIG\n"
+        "[factors]\ncount = 1\n",
+        encoding="utf-8",
+    )
+    return cfg
+
+
+class TestRiskWorkers:
+    """The risk stage fits its jobs in forked workers when more than one
+    CPU is usable; no output byte may depend on it."""
+
+    def test_demo_report_identical_with_one_and_two_workers(self, tmp_path, monkeypatch):
+        forks = count_forks(monkeypatch)
+        cfg = DEMO_DIR / "demo.cfg"
+        serial = run_with_workers(monkeypatch, "report", cfg, tmp_path / "one", 1)
+        assert forks == []
+        pooled = run_with_workers(monkeypatch, "report", cfg, tmp_path / "two", 2)
+        assert len(forks) == 2
+        assert serial[0] == pooled[0] == 0
+        assert "summary.json" in serial[1]
+        assert serial[1].keys() == pooled[1].keys()
+        for name in serial[1]:
+            assert serial[1][name] == pooled[1][name], f"{name} differs"
+
+    def test_job_errors_and_warnings_keep_job_order(self, tmp_path, monkeypatch):
+        cfg = write_failing_risk_config(tmp_path)
+        serial = run_with_workers(monkeypatch, "risk", cfg, tmp_path / "one", 1)
+        pooled = run_with_workers(monkeypatch, "risk", cfg, tmp_path / "two", 2)
+        assert serial[0] == pooled[0] == 1
+        stage = json.loads(serial[1]["summary.json"])["stages"][1]
+        assert stage["error"].startswith(
+            "BIG (raw-returns): series 'BIG' contains a simple return <= -100%"
+        )
+        assert len(set(stage["warnings"])) >= 2, stage["warnings"]
+        assert serial[1] == pooled[1]
+
+    def test_fork_warning_stays_out_of_the_manifest(self, tmp_path, monkeypatch):
+        cfg = DEMO_DIR / "demo.cfg"
+        serial = run_with_workers(monkeypatch, "risk", cfg, tmp_path / "one", 1)
+        forks = count_forks(monkeypatch, warn=True)
+        pooled = run_with_workers(monkeypatch, "risk", cfg, tmp_path / "two", 2)
+        assert len(forks) == 2
+        assert pooled[1]["summary.json"] == serial[1]["summary.json"]

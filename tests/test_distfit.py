@@ -305,6 +305,35 @@ class TestGarchLoglike:
         np.testing.assert_allclose(h, expected, rtol=1e-12)
         assert np.all(h > 0)
 
+    def test_stacked_derivative_filter_matches_one_filter_per_parameter(self):
+        """`_recursions` runs the four derivative recursions as one stacked
+        `lfilter` call; the oracle is one call per parameter, and the bits
+        must agree, since fit results are compared byte for byte."""
+        from scipy.signal import lfilter
+
+        from retlab.distfit.garch import _recursions
+
+        for seed, n, params in [
+            (44, 360, (0.3, 0.2, 0.1, 0.8)),
+            (45, 2000, (-0.1, 1e-3, 1e-12, 0.999998)),
+            (46, 2, (0.0, 0.5, 0.3, 0.5)),
+        ]:
+            x = garch_sample(seed=seed, n=max(n, 100)).values[:n]
+            mu, omega, alpha, beta = params
+            h1 = float(np.var(x))
+            eps, h, (d_mu, d_omega, d_alpha, d_beta) = _recursions(params, x, h1)
+            a_poly = np.array([1.0, -beta])
+            zi0 = np.array([0.0])
+            drives = {
+                "mu": -2.0 * alpha * eps[:-1], "omega": np.ones(n - 1),
+                "alpha": eps[:-1] ** 2, "beta": h[:-1],
+            }
+            got = {"mu": d_mu, "omega": d_omega, "alpha": d_alpha, "beta": d_beta}
+            for name, drive in drives.items():
+                expected = np.zeros(n)
+                expected[1:] = lfilter([1.0], a_poly, drive, zi=zi0)[0]
+                np.testing.assert_array_equal(got[name], expected, err_msg=name)
+
     def test_infeasible_parameters_rejected(self):
         s = garch_sample(seed=43, n=200)
         ll, grad = garch11_loglike((0.0, -0.1, 0.1, 0.8), s.values)

@@ -71,6 +71,13 @@ class TestTimeGrid:
         assert common.start == Month(1987, 2)
         assert common.end == Month(2009, 12)
 
+    @pytest.mark.parametrize("start, length", [
+        (Month(1998, 11), 30), (Month(1, 1), 13), (Month(9999, 1), 12),
+    ])
+    def test_labels_are_the_months_as_text(self, start, length):
+        grid = TimeGrid(start, length)
+        assert grid.labels() == [str(month) for month in grid]
+
     def test_intersect_disjoint_is_none(self):
         a = TimeGrid(Month(1980, 1), 12)
         b = TimeGrid(Month(1990, 1), 12)
