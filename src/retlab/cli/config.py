@@ -56,12 +56,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ParseError, ValidationError
+from ..risk import GARCH_CONDITIONINGS
 from ..synth import GeneratorSpec
 from .io import LAYOUTS
 
 SEED_ENV_VAR = "RETLAB_SEED"
 _CRITERIA = ("AIC", "BIC")
-_CONDITIONINGS = ("one-step", "unconditional")
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,9 @@ class RunConfig:
             raise ValidationError("VAR max_lag must be >= 1")
         if self.var_criterion not in _CRITERIA:
             raise ValidationError(f"VAR criterion must be one of {_CRITERIA}")
-        if self.garch_conditioning not in _CONDITIONINGS:
+        if self.garch_conditioning not in GARCH_CONDITIONINGS:
             raise ValidationError(
-                f"garch_conditioning must be one of {_CONDITIONINGS}"
+                f"garch_conditioning must be one of {GARCH_CONDITIONINGS}"
             )
         if min(self.forecast_horizon, self.irf_horizon, self.correlogram_lags) < 1:
             raise ValidationError("horizons and correlogram lags must be >= 1")

@@ -238,20 +238,27 @@ def full_precision(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Emit a full-precision CSV with LF line endings."""
+def write_csv(path: Path, header: list[str], rows: list[list]) -> list[str]:
+    """Emit a full-precision CSV with LF line endings.
+
+    Returns the artifact file names.
+    """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([full_precision(cell) for cell in row])
+    return [path.name]
 
 
-def write_panel(path: Path, panel: Panel) -> None:
-    """Emit a panel as a wide-layout CSV; `ingest_wide` inverts it exactly."""
+def write_panel(path: Path, panel: Panel) -> list[str]:
+    """Emit a panel as a wide-layout CSV; `ingest_wide` inverts it exactly.
+
+    Returns the artifact file names.
+    """
     header = ["date"] + list(panel.labels)
     rows = [
         [month] + values
         for month, values in zip(panel.grid.labels(), panel.values.tolist())
     ]
-    write_csv(path, header, rows)
+    return write_csv(path, header, rows)

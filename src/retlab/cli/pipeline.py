@@ -17,13 +17,13 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..descstats import correlogram, cross_sectional_summary, describe
-from ..distfit import mixture_pdf
+from ..distfit import GarchFit, GpdFit, MixtureFit, mixture_pdf
 from ..errors import RetlabError, ValidationError
 from ..factors import factor_regression, pca, scree
 from ..risk import RiskConfig, risk_report
@@ -39,6 +39,7 @@ from ..series import (
 )
 from ..synth import generate
 from ..varmodel import (
+    UnitRootReport,
     fevd,
     fit_var,
     forecast,
@@ -52,7 +53,6 @@ from .io import ingest, write_csv, write_panel
 from .tables import write_table
 
 COMMANDS = ("describe", "pca", "risk", "predict", "unitroot", "synth", "report")
-_ANALYSIS_STAGES = ("describe", "pca", "unitroot", "risk", "predict")
 
 
 @dataclass
@@ -167,13 +167,8 @@ def _stage_describe(ws: Workspace, config: RunConfig, out_dir: Path):
         except RetlabError as exc:
             errors.append(f"{s.label}: {exc}")
             continue
-        rows.append([s.label, st.mean, st.sd, st.skewness, st.excess_kurtosis,
-                     st.jarque_bera, st.autocorr1, st.n])
-        params["moments"][s.label] = {
-            "mean": st.mean, "sd": st.sd, "skewness": st.skewness,
-            "excess_kurtosis": st.excess_kurtosis, "jarque_bera": st.jarque_bera,
-            "autocorr1": st.autocorr1, "n": st.n,
-        }
+        rows.append([s.label, *astuple(st)])
+        params["moments"][s.label] = st
     artifacts += write_table(
         out_dir, "describe", "Summary statistics (percent per month)", header, rows
     )
@@ -186,8 +181,7 @@ def _stage_describe(ws: Workspace, config: RunConfig, out_dir: Path):
             )
         else:
             cs_rows = [
-                [r.year, r.n_assets, r.mean_of_means, r.mean_of_sds,
-                 r.mean_beta, r.sd_beta]
+                astuple(r)
                 for r in cross_sectional_summary(_asset_series(ws.records), ws.market)
             ]
             artifacts += write_table(
@@ -223,14 +217,17 @@ def _stage_describe(ws: Workspace, config: RunConfig, out_dir: Path):
                     fig_correlogram.append(
                         ["cross-vs-market", s.label, entry.lag, entry.value, entry.band]
                     )
-    write_csv(out_dir / "fig_returns.csv", ["month", "series", "value"], fig_returns)
-    write_csv(out_dir / "fig_log_prices.csv", ["month", "series", "log_price"], fig_prices)
-    write_csv(
+    artifacts += write_csv(
+        out_dir / "fig_returns.csv", ["month", "series", "value"], fig_returns
+    )
+    artifacts += write_csv(
+        out_dir / "fig_log_prices.csv", ["month", "series", "log_price"], fig_prices
+    )
+    artifacts += write_csv(
         out_dir / "fig_correlogram.csv",
         ["kind", "series", "lag", "value", "band"],
         fig_correlogram,
     )
-    artifacts += ["fig_returns.csv", "fig_log_prices.csv", "fig_correlogram.csv"]
     return artifacts, params, errors
 
 
@@ -256,8 +253,7 @@ def _stage_pca(ws: Workspace, config: RunConfig, out_dir: Path):
     artifacts += write_table(
         out_dir, "scree", "Variance explained by component", scree_header, scree_rows
     )
-    write_csv(out_dir / "fig_scree.csv", scree_header, scree_rows)
-    artifacts.append("fig_scree.csv")
+    artifacts += write_csv(out_dir / "fig_scree.csv", scree_header, scree_rows)
 
     reg_rows = []
     reg_params = {}
@@ -300,17 +296,9 @@ def _stage_unitroot(ws: Workspace, config: RunConfig, out_dir: Path):
             except RetlabError as exc:
                 errors.append(f"{s.label} ({basis}): {exc}")
                 continue
-            rows.append([
-                s.label, basis, rep.adf_stat, rep.adf_p_value, rep.adf_lags,
-                rep.pp_stat, rep.pp_p_value, rep.kpss_stat,
-                rep.kpss_reject_5pct, rep.kpss_reject_1pct, rep.bandwidth,
-            ])
-            params[f"{s.label}/{basis}"] = {
-                "adf_stat": rep.adf_stat, "adf_p_value": rep.adf_p_value,
-                "adf_lags": rep.adf_lags, "pp_stat": rep.pp_stat,
-                "pp_p_value": rep.pp_p_value, "kpss_stat": rep.kpss_stat,
-                "bandwidth": rep.bandwidth,
-            }
+            # the report's own label and n are not columns
+            rows.append([s.label, basis, *astuple(rep)[2:]])
+            params[f"{s.label}/{basis}"] = rep
     artifacts += write_table(
         out_dir, "unitroot",
         "Unit-root and stationarity tests (constant, no trend)",
@@ -323,29 +311,9 @@ def _stage_unitroot(ws: Workspace, config: RunConfig, out_dir: Path):
 
 def _risk_params(report) -> dict:
     out: dict = {"fit_errors": dict(report.fit_errors)}
-    if report.mixture is not None:
-        m = report.mixture
-        out["mixture"] = {
-            "k": m.k, "weights": m.weights, "means": m.means, "sds": m.sds,
-            "log_likelihood": m.log_likelihood, "bic": m.bic,
-            "converged": m.converged,
-        }
-    if report.gpd is not None:
-        g = report.gpd
-        out["gpd"] = {
-            "threshold_u": g.threshold_u, "shape_xi": g.shape_xi,
-            "scale_beta": g.scale_beta, "n_exceedances": g.n_exceedances,
-            "exceedance_rate": g.exceedance_rate,
-            "infinite_mean": g.infinite_mean,
-        }
-    if report.garch is not None:
-        h = report.garch
-        out["garch"] = {
-            "mu": h.mu, "omega": h.omega, "alpha": h.alpha, "beta": h.beta,
-            "log_likelihood": h.log_likelihood,
-            "one_step_variance": h.one_step_variance,
-            "integrated_warning": h.integrated_warning,
-        }
+    for key in ("mixture", "gpd", "garch"):
+        if getattr(report, key) is not None:
+            out[key] = getattr(report, key)
     return out
 
 
@@ -466,15 +434,14 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
         ["series", "basis", "model", "fractile", "loss", "average_loss", "note"],
         rows,
     )
-    write_csv(
+    artifacts += write_csv(
         out_dir / "fig_conditional_volatility.csv",
         ["month", "series", "sd"], vol_rows,
     )
-    write_csv(
+    artifacts += write_csv(
         out_dir / "fig_fitted_density.csv",
         ["series", "x", "mixture_pdf", "normal_pdf"], density_rows,
     )
-    artifacts += ["fig_conditional_volatility.csv", "fig_fitted_density.csv"]
     return artifacts, params, errors
 
 
@@ -563,11 +530,10 @@ def _stage_predict(ws: Workspace, config: RunConfig, out_dir: Path):
                 else:
                     row += [None, None]
                 irf_rows.append(row)
-    write_csv(
+    artifacts += write_csv(
         out_dir / "fig_irf.csv",
         ["horizon", "response", "shock", "value", "lower", "upper"], irf_rows,
     )
-    artifacts.append("fig_irf.csv")
     params["irf"] = {"seed": config.seed, "n_boot": config.n_boot,
                      "ordering": list(impulse.ordering)}
 
@@ -578,11 +544,10 @@ def _stage_predict(ws: Workspace, config: RunConfig, out_dir: Path):
         for i in range(len(shares.labels))
         for j in range(len(shares.labels))
     ]
-    write_csv(
+    artifacts += write_csv(
         out_dir / "fig_fevd.csv",
         ["horizon", "series", "shock", "share"], fevd_rows,
     )
-    artifacts.append("fig_fevd.csv")
     return artifacts, params, []
 
 
@@ -595,17 +560,32 @@ def _stage_synth(config: RunConfig, out_dir: Path):
         out = generate(spec)
         if isinstance(out, ReturnSeries):
             out = Panel((out,))
-        file_name = f"synth_{name}.csv"
-        write_panel(out_dir / file_name, out)
-        artifacts.append(file_name)
-        params[name] = {
-            "kind": spec.kind, "n": spec.n, "seed": spec.seed,
-            "parameters": dict(spec.parameters),
-        }
+        artifacts += write_panel(out_dir / f"synth_{name}.csv", out)
+        params[name] = spec
     return artifacts, params, []
 
 
+# the analysis stages, in report order
+_STAGES = {
+    "describe": _stage_describe,
+    "pca": _stage_pca,
+    "unitroot": _stage_unitroot,
+    "risk": _stage_risk,
+    "predict": _stage_predict,
+}
+
+
 # ----------------------------------------------------------- orchestration
+
+
+# result fields that summary.json leaves out; every other field of a
+# result object is recorded, in declaration order
+_UNRECORDED = {
+    MixtureFit: {"n", "n_iter", "sd_floor_hit", "log_likelihood_path"},
+    GpdFit: {"log_likelihood", "score_norm"},
+    GarchFit: {"conditional_variance_path", "n", "h1", "converged"},
+    UnitRootReport: {"label", "n", "kpss_reject_5pct", "kpss_reject_1pct"},
+}
 
 
 def _jsonable(value):
@@ -617,33 +597,34 @@ def _jsonable(value):
         return _jsonable(value.tolist())
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         return _jsonable(value.item())
-    if isinstance(value, Path):
+    if isinstance(value, (Path, Month)):
         return str(value)
-    if isinstance(value, Month):
-        return str(value)
+    if is_dataclass(value):
+        skip = _UNRECORDED.get(type(value), ())
+        return {
+            f.name: _jsonable(getattr(value, f.name))
+            for f in fields(value) if f.name not in skip
+        }
     if isinstance(value, float) and not np.isfinite(value):
         return None
     return value
 
 
-def _run_stage(outcome: StageOutcome, func, *args) -> dict:
-    """Run one stage, capturing module errors and warnings."""
-    params: dict = {}
+def _run_stage(outcome: StageOutcome, func, *args):
+    """Run one stage, recording its warnings and any `RetlabError` in
+    `outcome`; returns the stage's result, or None if it raised."""
+    result = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            artifacts, params, errors = func(*args)
-            outcome.artifacts = artifacts
-            if errors:
-                outcome.status = "error"
-                outcome.error = "; ".join(errors)
+            result = func(*args)
         except RetlabError as exc:
             outcome.status = "error"
             outcome.error = str(exc)
     outcome.warnings = [
         f"{w.category.__name__}: {w.message}" for w in caught
     ]
-    return params
+    return result
 
 
 def run(command: str, config: RunConfig) -> int:
@@ -653,44 +634,30 @@ def run(command: str, config: RunConfig) -> int:
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    stage_names = _ANALYSIS_STAGES if command == "report" else (command,)
+    stage_names = list(_STAGES) if command == "report" else [command]
     outcomes: list[StageOutcome] = []
     parameters: dict = {}
 
     ws = None
     if command != "synth":
-        ingest_outcome = StageOutcome(name="ingest")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                ws = _load_workspace(config)
-            except RetlabError as exc:
-                ingest_outcome.status = "error"
-                ingest_outcome.error = str(exc)
-        ingest_outcome.warnings = [
-            f"{w.category.__name__}: {w.message}" for w in caught
-        ]
-        outcomes.append(ingest_outcome)
+        outcomes.append(StageOutcome(name="ingest"))
+        ws = _run_stage(outcomes[-1], _load_workspace, config)
 
-    stage_funcs = {
-        "describe": _stage_describe,
-        "pca": _stage_pca,
-        "unitroot": _stage_unitroot,
-        "risk": _stage_risk,
-        "predict": _stage_predict,
-    }
     for name in stage_names:
         outcome = StageOutcome(name=name)
+        outcomes.append(outcome)
         if name == "synth":
-            parameters[name] = _run_stage(outcome, _stage_synth, config, out_dir)
+            result = _run_stage(outcome, _stage_synth, config, out_dir)
         elif ws is None:
             outcome.status = "error"
             outcome.error = "skipped: input loading failed"
+            continue
         else:
-            parameters[name] = _run_stage(
-                outcome, stage_funcs[name], ws, config, out_dir
-            )
-        outcomes.append(outcome)
+            result = _run_stage(outcome, _STAGES[name], ws, config, out_dir)
+        outcome.artifacts, parameters[name], errors = result or ([], {}, [])
+        if errors:
+            outcome.status = "error"
+            outcome.error = "; ".join(errors)
 
     summary = {
         "command": command,

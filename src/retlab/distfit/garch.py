@@ -50,8 +50,8 @@ class GarchFit:
     alpha: float
     beta: float
     conditional_variance_path: np.ndarray
-    one_step_variance: float
     log_likelihood: float
+    one_step_variance: float
     n: int
     h1: float
     converged: bool

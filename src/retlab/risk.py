@@ -36,24 +36,15 @@ from .series import Panel, ReturnSeries
 
 MODELS = ("EM", "GPD", "GARCH")
 
+GARCH_CONDITIONINGS = ("one-step", "unconditional")
+BASES = ("raw-returns", "residuals")
+
 _BISECT_TOL = 1e-10
-_GARCH_CONDITIONINGS = ("one-step", "unconditional")
 
 
-@dataclass(frozen=True)
-class LossQuery:
-    """One risk question: which fractile, on which return basis."""
-
-    fractile: float
-    basis: str = "raw-returns"
-
-    def __post_init__(self) -> None:
-        if not 0.5 < self.fractile < 1.0:
-            raise ValidationError(
-                f"fractile must lie in (0.5, 1), got {self.fractile}"
-            )
-        if self.basis not in ("raw-returns", "residuals"):
-            raise ValidationError(f"unknown basis {self.basis!r}")
+def _check_fractile(p: float) -> None:
+    if not 0.5 < p < 1.0:
+        raise ValidationError(f"fractile must lie in (0.5, 1), got {p}")
 
 
 @dataclass(frozen=True)
@@ -76,9 +67,11 @@ class RiskConfig:
     def __post_init__(self) -> None:
         if len(self.fractiles) == 0:
             raise ValidationError("at least one fractile is required")
-        if self.garch_conditioning not in _GARCH_CONDITIONINGS:
+        for p in self.fractiles:
+            _check_fractile(p)
+        if self.garch_conditioning not in GARCH_CONDITIONINGS:
             raise ValidationError(
-                f"garch_conditioning must be one of {_GARCH_CONDITIONINGS}, "
+                f"garch_conditioning must be one of {GARCH_CONDITIONINGS}, "
                 f"got {self.garch_conditioning!r}"
             )
 
@@ -194,6 +187,39 @@ def _garch_sigma(fit: GarchFit, conditioning: str) -> float:
     return math.sqrt(fit.unconditional_variance)
 
 
+def _garch_fractile(fit: GarchFit, p: float, conditioning: str) -> float:
+    return fit.mu + _garch_sigma(fit, conditioning) * norm.ppf(p)
+
+
+def _garch_average_loss(fit: GarchFit, p: float, conditioning: str) -> float:
+    z = norm.ppf(p)
+    return fit.mu + _garch_sigma(fit, conditioning) * norm.pdf(z) / (1.0 - p)
+
+
+# model type -> (loss fractile, average loss)
+_QUERIES = {
+    MixtureFit: (_mixture_fractile, _mixture_average_loss),
+    GpdFit: (_gpd_fractile, _gpd_average_loss),
+    GarchFit: (_garch_fractile, _garch_average_loss),
+}
+
+
+def _query(which: int, model, p: float, garch_conditioning: str) -> float:
+    """Risk query `which` (0: loss fractile, 1: average loss) of `model` at
+    p, after the checks both queries share."""
+    _check_fractile(p)
+    funcs = _QUERIES.get(type(model))
+    if funcs is None:
+        raise ValidationError(f"unsupported model type {type(model).__name__}")
+    if not isinstance(model, GarchFit):
+        return funcs[which](model, p)
+    if garch_conditioning not in GARCH_CONDITIONINGS:
+        raise ValidationError(
+            f"garch_conditioning must be one of {GARCH_CONDITIONINGS}"
+        )
+    return funcs[which](model, p, garch_conditioning)
+
+
 def loss_fractile(
     model: MixtureFit | GpdFit | GarchFit,
     p: float,
@@ -206,19 +232,7 @@ def loss_fractile(
         ValidationError: p outside (0.5, 1) or unsupported model type.
         OutOfTailError: GPD query at or below the threshold's coverage.
     """
-    if not 0.5 < p < 1.0:
-        raise ValidationError(f"fractile must lie in (0.5, 1), got {p}")
-    if isinstance(model, MixtureFit):
-        return _mixture_fractile(model, p)
-    if isinstance(model, GpdFit):
-        return _gpd_fractile(model, p)
-    if isinstance(model, GarchFit):
-        if garch_conditioning not in _GARCH_CONDITIONINGS:
-            raise ValidationError(
-                f"garch_conditioning must be one of {_GARCH_CONDITIONINGS}"
-            )
-        return model.mu + _garch_sigma(model, garch_conditioning) * norm.ppf(p)
-    raise ValidationError(f"unsupported model type {type(model).__name__}")
+    return _query(0, model, p, garch_conditioning)
 
 
 def average_loss(
@@ -234,40 +248,22 @@ def average_loss(
         OutOfTailError: GPD query at or below the threshold's coverage.
         InfiniteMeanError: GPD tail index >= 1.
     """
-    if not 0.5 < p < 1.0:
-        raise ValidationError(f"fractile must lie in (0.5, 1), got {p}")
-    if isinstance(model, MixtureFit):
-        return _mixture_average_loss(model, p)
-    if isinstance(model, GpdFit):
-        return _gpd_average_loss(model, p)
-    if isinstance(model, GarchFit):
-        if garch_conditioning not in _GARCH_CONDITIONINGS:
-            raise ValidationError(
-                f"garch_conditioning must be one of {_GARCH_CONDITIONINGS}"
-            )
-        sigma = _garch_sigma(model, garch_conditioning)
-        z = norm.ppf(p)
-        return model.mu + sigma * norm.pdf(z) / (1.0 - p)
-    raise ValidationError(f"unsupported model type {type(model).__name__}")
+    return _query(1, model, p, garch_conditioning)
 
 
 def _fit_all(losses: ReturnSeries, config: RiskConfig):
-    fits: dict = {"EM": None, "GPD": None, "GARCH": None}
+    fits: dict = dict.fromkeys(MODELS)
     errors: dict = {}
-    try:
-        fits["EM"] = fit_mixture_em(losses, k_max=config.mixture_k_max)
-    except RetlabError as exc:
-        errors["EM"] = str(exc)
-    try:
-        fits["GPD"] = fit_gpd_pot(
-            losses, threshold_quantile=config.gpd_threshold_quantile
-        )
-    except RetlabError as exc:
-        errors["GPD"] = str(exc)
-    try:
-        fits["GARCH"] = fit_garch11(losses)
-    except RetlabError as exc:
-        errors["GARCH"] = str(exc)
+    # built per call, so that each fitter is looked up as a module global
+    for model, fitter, kwargs in (
+        ("EM", fit_mixture_em, {"k_max": config.mixture_k_max}),
+        ("GPD", fit_gpd_pot, {"threshold_quantile": config.gpd_threshold_quantile}),
+        ("GARCH", fit_garch11, {}),
+    ):
+        try:
+            fits[model] = fitter(losses, **kwargs)
+        except RetlabError as exc:
+            errors[model] = str(exc)
     return fits, errors
 
 
@@ -284,12 +280,13 @@ def risk_report(
     of the series itself.
 
     Raises:
-        ValidationError: residual basis without a panel, or the label is
-            missing from the panel.
+        ValidationError: unknown basis, residual basis without a panel, or
+            the label is missing from the panel.
     """
+    if basis not in BASES:
+        raise ValidationError(f"unknown basis {basis!r}")
     if config is None:
         config = RiskConfig()
-    queries = tuple(LossQuery(f, basis) for f in config.fractiles)
     work = s
     if basis == "residuals":
         if config.panel is None:
@@ -306,8 +303,7 @@ def risk_report(
     cells = []
     for model in MODELS:
         fit = fits[model]
-        for query in queries:
-            p = query.fractile
+        for p in config.fractiles:
             if fit is None:
                 cells.append(RiskCell(model, p, None, None, fit_errors[model]))
                 continue

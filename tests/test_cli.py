@@ -367,6 +367,34 @@ class TestCommands:
         for table in tables:
             assert (out / table.replace(".txt", ".csv")).is_file()
 
+    def test_summary_records_fixed_fields(self, tmp_path):
+        """summary.json records these fields of each result, in this
+        order; a new or reordered result field must not change it."""
+        cfg = write_run_config(tmp_path)
+        assert main(["report", str(cfg)]) == 0
+        params = json.loads((tmp_path / "out" / "summary.json").read_text())["parameters"]
+        risk = params["risk"]["A/raw-returns"]
+        assert list(risk) == ["fit_errors", "mixture", "gpd", "garch"]
+        assert list(risk["mixture"]) == [
+            "k", "weights", "means", "sds", "log_likelihood", "bic", "converged",
+        ]
+        assert list(risk["gpd"]) == [
+            "threshold_u", "shape_xi", "scale_beta", "n_exceedances",
+            "exceedance_rate", "infinite_mean",
+        ]
+        assert list(risk["garch"]) == [
+            "mu", "omega", "alpha", "beta", "log_likelihood",
+            "one_step_variance", "integrated_warning",
+        ]
+        assert list(params["unitroot"]["A/log-price"]) == [
+            "adf_stat", "adf_p_value", "adf_lags", "pp_stat", "pp_p_value",
+            "kpss_stat", "bandwidth",
+        ]
+        assert list(params["describe"]["moments"]["A"]) == [
+            "mean", "sd", "skewness", "excess_kurtosis", "jarque_bera",
+            "autocorr1", "n",
+        ]
+
     def test_risk_models_agree_on_gaussian_data(self, tmp_path):
         gaussian = generate(GeneratorSpec(
             kind="mixture", n=6000, seed=99,

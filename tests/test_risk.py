@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import kurtosis, norm
 
+from retlab import risk
 from retlab.distfit import GpdFit, MixtureFit, fit_garch11, fit_mixture_em, mixture_cdf, mixture_pdf
 from retlab.errors import (
     InfiniteMeanError,
@@ -16,7 +17,6 @@ from retlab.errors import (
     ValidationError,
 )
 from retlab.risk import (
-    LossQuery,
     RiskConfig,
     average_loss,
     loss_fractile,
@@ -329,13 +329,18 @@ class TestRiskReport:
             assert cell_a.loss == cell_b.loss
             assert cell_a.average_loss == cell_b.average_loss
 
-    def test_query_and_config_validation(self):
-        with pytest.raises(ValidationError):
-            LossQuery(0.5)
-        with pytest.raises(ValidationError):
-            LossQuery(1.0)
-        with pytest.raises(ValidationError):
-            LossQuery(0.95, basis="levels")
+    def test_query_and_config_validation(self, monkeypatch):
+        with pytest.raises(ValidationError, match=r"fractile must lie in \(0.5, 1\), got 0.5"):
+            RiskConfig(fractiles=(0.95, 0.5))
+        with pytest.raises(ValidationError, match=r"got 1.0"):
+            RiskConfig(fractiles=(1.0,))
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the basis was checked")
+
+        monkeypatch.setattr(risk, "fit_mixture_em", no_fit)
+        with pytest.raises(ValidationError, match="unknown basis 'levels'"):
+            risk_report(gaussian_sample(seed=1, n=200), basis="levels")
         with pytest.raises(ValidationError):
             RiskConfig(fractiles=())
         with pytest.raises(ValidationError):
