@@ -401,7 +401,7 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
     density_rows = []
     for (s, basis, _), (report, caught, error) in zip(jobs, _map_risk_jobs(jobs)):
         for category, message in caught:
-            warnings.warn(message, category)
+            warnings.warn(f"{s.label} ({basis}): {message}", category)
         if error is not None:
             errors.append(f"{s.label} ({basis}): {error}")
             continue

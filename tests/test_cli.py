@@ -609,6 +609,17 @@ class TestRiskWorkers:
         assert len(set(stage["warnings"])) >= 2, stage["warnings"]
         assert serial[1] == pooled[1]
 
+    def test_risk_warnings_name_their_job(self, tmp_path, monkeypatch):
+        cfg = write_failing_risk_config(tmp_path)
+        status, files = run_with_workers(monkeypatch, "risk", cfg, tmp_path / "out", 1)
+        assert status == 1
+        stage = json.loads(files["summary.json"])["stages"][1]
+        jobs = [w.split(": ")[1] for w in stage["warnings"]]
+        assert jobs == ["MKT (raw-returns)", "REIT (residuals)", "BIG (residuals)"]
+        for warning in stage["warnings"]:
+            assert warning.startswith("RuntimeWarning: ")
+            assert "alpha + beta" in warning and "near 1" in warning
+
     def test_fork_warning_stays_out_of_the_manifest(self, tmp_path, monkeypatch):
         cfg = DEMO_DIR / "demo.cfg"
         serial = run_with_workers(monkeypatch, "risk", cfg, tmp_path / "one", 1)
