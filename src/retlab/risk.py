@@ -35,9 +35,7 @@ from .factors import residual_panel
 from .series import Panel, ReturnSeries
 
 MODELS = ("EM", "GPD", "GARCH")
-
 GARCH_CONDITIONINGS = ("one-step", "unconditional")
-BASES = ("raw-returns", "residuals")
 
 _BISECT_TOL = 1e-10
 
@@ -283,7 +281,7 @@ def risk_report(
         ValidationError: unknown basis, residual basis without a panel, or
             the label is missing from the panel.
     """
-    if basis not in BASES:
+    if basis not in ("raw-returns", "residuals"):
         raise ValidationError(f"unknown basis {basis!r}")
     if config is None:
         config = RiskConfig()
