@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ParseError, ValidationError
-from ..risk import GARCH_CONDITIONINGS
+from ..risk import RiskConfig
 from ..synth import GeneratorSpec
 from .io import LAYOUTS
 
@@ -80,10 +80,7 @@ class RunConfig:
     market: str | None
     panel_members: tuple[str, ...] | None
     n_factors: int
-    fractiles: tuple[float, ...]
-    garch_conditioning: str
-    mixture_k_max: int
-    gpd_threshold_quantile: float
+    risk: RiskConfig
     var_max_lag: int
     var_criterion: str
     var_lag: int | None
@@ -97,9 +94,6 @@ class RunConfig:
     synth_specs: tuple[tuple[str, GeneratorSpec], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        for p in self.fractiles:
-            if not 0.5 < p < 1.0:
-                raise ValidationError(f"fractile {p} outside (0.5, 1)")
         if self.n_factors < 1:
             raise ValidationError("factor count must be >= 1")
         if self.var_lag is not None and self.var_lag < 0:
@@ -108,10 +102,6 @@ class RunConfig:
             raise ValidationError("VAR max_lag must be >= 1")
         if self.var_criterion not in _CRITERIA:
             raise ValidationError(f"VAR criterion must be one of {_CRITERIA}")
-        if self.garch_conditioning not in GARCH_CONDITIONINGS:
-            raise ValidationError(
-                f"garch_conditioning must be one of {GARCH_CONDITIONINGS}"
-            )
         if min(self.forecast_horizon, self.irf_horizon, self.correlogram_lags) < 1:
             raise ValidationError("horizons and correlogram lags must be >= 1")
         if self.n_boot < 0:
@@ -249,10 +239,14 @@ def load_config(path: Path) -> RunConfig:
         market=_get(parser, "series", "market") or None,
         panel_members=_name_list(members_raw) if members_raw else None,
         n_factors=_get_int(parser, "factors", "count", 1),
-        fractiles=fractiles,
-        garch_conditioning=_get(parser, "risk", "garch_conditioning", "one-step"),
-        mixture_k_max=_get_int(parser, "risk", "mixture_k_max", 3),
-        gpd_threshold_quantile=_get_float(parser, "risk", "gpd_threshold_quantile", 0.90),
+        risk=RiskConfig(
+            fractiles=fractiles,
+            garch_conditioning=_get(parser, "risk", "garch_conditioning", "one-step"),
+            mixture_k_max=_get_int(parser, "risk", "mixture_k_max", 3),
+            gpd_threshold_quantile=_get_float(
+                parser, "risk", "gpd_threshold_quantile", 0.90
+            ),
+        ),
         var_max_lag=_get_int(parser, "var", "max_lag", 6),
         var_criterion=_get(parser, "var", "criterion", "BIC").upper(),
         var_lag=var_lag,

@@ -26,7 +26,7 @@ from ..descstats import correlogram, cross_sectional_summary, describe
 from ..distfit import GarchFit, GpdFit, MixtureFit, mixture_pdf
 from ..errors import RetlabError, ValidationError
 from ..factors import factor_regression, pca, scree
-from ..risk import RiskConfig, risk_report
+from ..risk import risk_jobs, risk_report
 from ..series import (
     ConstituentRecord,
     Month,
@@ -318,18 +318,19 @@ def _risk_params(report) -> dict:
 
 
 def _risk_job(job):
-    """Fit one (series, basis) risk job, capturing its warnings.
+    """Fit one risk job, a (series, risk config) pair, capturing its
+    warnings.
 
     Returns ``(report, warnings, error)``: `warnings` is the list of
     ``(category, message)`` pairs the fits raised, in order, and exactly
     one of `report` and `error` (the `RetlabError` text) is None. Runs in
     a pool worker or in the stage's own process.
     """
-    s, basis, risk_config = job
+    s, risk_config = job
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            report, error = risk_report(s, basis=basis, config=risk_config), None
+            report, error = risk_report(s, risk_config), None
         except RetlabError as exc:
             report, error = None, str(exc)
     return report, [(w.category, str(w.message)) for w in caught], error
@@ -381,25 +382,13 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
     artifacts: list[str] = []
     params: dict = {}
     errors: list[str] = []
-    risk_config = RiskConfig(
-        fractiles=config.fractiles,
-        garch_conditioning=config.garch_conditioning,
-        mixture_k_max=config.mixture_k_max,
-        gpd_threshold_quantile=config.gpd_threshold_quantile,
-        n_factors=config.n_factors,
-        panel=ws.panel,
-    )
-    jobs = [(s, "raw-returns", risk_config) for s in _targets(ws)]
-    if ws.panel.width > config.n_factors:
-        jobs += [
-            (ws.panel.select(label), "residuals", risk_config)
-            for label in ws.panel.labels
-        ]
+    jobs, sweep_error = risk_jobs(_targets(ws), ws.panel, config.n_factors)
+    results = _map_risk_jobs([(s, config.risk) for s, _ in jobs])
 
     rows = []
     vol_rows = []
     density_rows = []
-    for (s, basis, _), (report, caught, error) in zip(jobs, _map_risk_jobs(jobs)):
+    for (s, basis), (report, caught, error) in zip(jobs, results):
         for category, message in caught:
             warnings.warn(f"{s.label} ({basis}): {message}", category)
         if error is not None:
@@ -428,6 +417,8 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
             )
             for x, m_val, n_val in zip(grid, mix, normal):
                 density_rows.append([s.label, x, m_val, n_val])
+    if sweep_error is not None:
+        errors += [f"{label} (residuals): {sweep_error}" for label in ws.panel.labels]
 
     artifacts += write_table(
         out_dir, "risk", "Loss fractiles and average losses by model",
@@ -663,7 +654,7 @@ def run(command: str, config: RunConfig) -> int:
         "command": command,
         "seed": config.seed,
         "seed_source": config.seed_source,
-        "fractiles": list(config.fractiles),
+        "fractiles": list(config.risk.fractiles),
         "panel": list(ws.panel.labels) if ws is not None else None,
         "market": config.market,
         "stages": [

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp, ndtr
 
-from ..errors import InsufficientDataError, ValidationError
+from ..errors import DegenerateVarianceError, InsufficientDataError, ValidationError
 from ..series import ReturnSeries
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -304,6 +304,7 @@ def fit_mixture_em(s: ReturnSeries, k_max: int = 3) -> MixtureFit:
     Raises:
         InsufficientDataError: n < 30.
         ValidationError: k_max not in {1, 2, 3}.
+        DegenerateVarianceError: constant input.
     """
     if k_max not in (1, 2, 3):
         raise ValidationError(f"k_max must be 1, 2, or 3, got {k_max}")
@@ -311,6 +312,8 @@ def fit_mixture_em(s: ReturnSeries, k_max: int = 3) -> MixtureFit:
     if n < 30:
         raise InsufficientDataError(f"mixture fit needs n >= 30, got {n}")
     x = s.values
+    if float(np.var(x)) <= 0:
+        raise DegenerateVarianceError(f"series {s.label!r} is constant")
     fits = [_fit_k(x, k, n) for k in range(1, k_max + 1)]
     best = min(fits, key=lambda f: f.bic)  # ties go to the smaller k
     return best

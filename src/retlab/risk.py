@@ -51,16 +51,13 @@ class RiskConfig:
 
     garch_conditioning picks the variance behind GARCH quantiles:
     "one-step" uses the forecast variance at sample end, "unconditional"
-    the stationary variance. A panel is required for the residual basis;
-    the first n_factors principal components are swept out of it.
+    the stationary variance.
     """
 
     fractiles: tuple[float, ...] = (0.95, 0.99, 0.999)
     garch_conditioning: str = "one-step"
     mixture_k_max: int = 3
     gpd_threshold_quantile: float = 0.90
-    n_factors: int = 3
-    panel: Panel | None = None
 
     def __post_init__(self) -> None:
         if len(self.fractiles) == 0:
@@ -106,7 +103,6 @@ class RiskReport:
     """
 
     label: str
-    basis: str
     fractiles: tuple[float, ...]
     cells: tuple[RiskCell, ...]
     mixture: MixtureFit | None
@@ -265,38 +261,37 @@ def _fit_all(losses: ReturnSeries, config: RiskConfig):
     return fits, errors
 
 
-def risk_report(
-    s: ReturnSeries,
-    basis: str = "raw-returns",
-    config: RiskConfig | None = None,
-) -> RiskReport:
+def risk_jobs(
+    targets: list[ReturnSeries], panel: Panel, n_factors: int
+) -> tuple[list[tuple[ReturnSeries, str]], str | None]:
+    """The (series, basis) pairs of a risk stage, and the residual
+    sweep's error text.
+
+    Every target is a "raw-returns" job. When the panel is wider than
+    n_factors, each member's residual after its first n_factors
+    principal components follows as a "residuals" job; the residual
+    panel is computed once, here. If that sweep fails, no residual job
+    is made and its `RetlabError` text is returned, else None.
+    """
+    jobs = [(s, "raw-returns") for s in targets]
+    if panel.width <= n_factors:
+        return jobs, None
+    try:
+        resid = residual_panel(panel, n_factors)
+    except RetlabError as exc:
+        return jobs, str(exc)
+    return jobs + [(s, "residuals") for s in resid.series], None
+
+
+def risk_report(s: ReturnSeries, config: RiskConfig | None = None) -> RiskReport:
     """Fit all three loss models to a series and tabulate loss fractiles
     and average losses at every configured fractile.
 
-    The series is negated internally (losses). With basis "residuals" the
-    series' principal-component residual from config.panel is used instead
-    of the series itself.
-
-    Raises:
-        ValidationError: unknown basis, residual basis without a panel, or
-            the label is missing from the panel.
+    The series is negated internally (losses).
     """
-    if basis not in ("raw-returns", "residuals"):
-        raise ValidationError(f"unknown basis {basis!r}")
     if config is None:
         config = RiskConfig()
-    work = s
-    if basis == "residuals":
-        if config.panel is None:
-            raise ValidationError("residual basis requires a panel in the config")
-        resid = residual_panel(config.panel, config.n_factors)
-        try:
-            work = resid.select(s.label)
-        except KeyError:
-            raise ValidationError(
-                f"series {s.label!r} is not in the configured panel"
-            ) from None
-    losses = ReturnSeries(work.label, work.grid, -work.values)
+    losses = ReturnSeries(s.label, s.grid, -s.values)
     fits, fit_errors = _fit_all(losses, config)
     cells = []
     for model in MODELS:
@@ -320,7 +315,6 @@ def risk_report(
             cells.append(RiskCell(model, p, loss_val, avg_val, err))
     return RiskReport(
         label=s.label,
-        basis=basis,
         fractiles=tuple(config.fractiles),
         cells=tuple(cells),
         mixture=fits["EM"],

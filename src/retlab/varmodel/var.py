@@ -247,12 +247,8 @@ def select_lag(panel: Panel, p_max: int, criterion: str = "BIC") -> int:
     t_common = n - p_max
     scores = []
     for p in range(1, p_max + 1):
-        # lag columns are built relative to the common target rows
-        cols = [np.ones(t_common)]
-        for lag in range(1, p + 1):
-            cols.append(values[p_max - lag : n - lag])
-        design = np.column_stack(cols)
-        target = values[p_max:]
+        # every candidate is fitted to the same target rows p_max..n-1
+        target, design = _design(values[p_max - p :], p)
         beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
         resid = target - design @ beta
         sigma_mle = resid.T @ resid / t_common

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import retlab
+from retlab import risk
 from retlab.cli import ingest, ingest_constituents, ingest_long, ingest_wide, pipeline
 from retlab.cli.config import load_config
 from retlab.cli.io import write_csv, write_panel
@@ -222,7 +223,7 @@ class TestConfig:
         config = load_config(DEMO_DIR / "demo.cfg")
         assert config.market == "MKT"
         assert config.panel_members == ("REIT", "HOUSE", "PORT")
-        assert config.fractiles == (0.95, 0.99, 0.999)
+        assert config.risk.fractiles == (0.95, 0.99, 0.999)
         assert config.layout == "wide"
         assert config.n_factors == 2
         assert config.returns_path.is_file()
@@ -415,6 +416,18 @@ class TestCommands:
         assert set(losses) == {"EM", "GPD", "GARCH"}
         spread = max(losses.values()) - min(losses.values())
         assert spread < 0.15, f"cross-model 0.95 losses spread {spread:.3f}"
+
+    def test_constant_series_fails_only_its_fits(self, tmp_path):
+        panel = panel_fixture()
+        constant = ReturnSeries("K", panel.grid, np.full(len(panel), 1.0))
+        cfg = write_run_config(
+            tmp_path, panel=Panel((*panel.series, constant)), market="K",
+        )
+        assert main(["risk", str(cfg)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        fit_errors = summary["parameters"]["risk"]["K/raw-returns"]["fit_errors"]
+        assert fit_errors["EM"] == "series 'K' is constant"
+        assert summary["parameters"]["risk"]["A/raw-returns"]["fit_errors"] == {}
 
     def test_stage_error_sets_exit_and_manifest(self, tmp_path):
         cfg = write_run_config(tmp_path, members="A, NOPE")
@@ -619,6 +632,44 @@ class TestRiskWorkers:
         for warning in stage["warnings"]:
             assert warning.startswith("RuntimeWarning: ")
             assert "alpha + beta" in warning and "near 1" in warning
+
+    def test_residuals_are_swept_once_per_stage(self, tmp_path, monkeypatch):
+        sweeps = []
+        sweep = risk.residual_panel
+
+        def counted_sweep(*args):
+            sweeps.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(risk, "residual_panel", counted_sweep)
+        cfg = DEMO_DIR / "demo.cfg"
+        status, _ = run_with_workers(monkeypatch, "report", cfg, tmp_path / "out", 1)
+        assert status == 0
+        assert len(sweeps) == 1
+
+    def test_failed_sweep_fails_every_residual_job(self, tmp_path, monkeypatch):
+        # two factors of three identical series: the sweep's regressions
+        # on the component scores are collinear
+        a = panel_fixture().select("A")
+        write_panel(
+            tmp_path / "returns.csv",
+            Panel(tuple(ReturnSeries(label, a.grid, a.values) for label in "ABC")),
+        )
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "[inputs]\nreturns = returns.csv\nlayout = wide\n"
+            "[series]\npanel = A, B, C\n[factors]\ncount = 2\n",
+            encoding="utf-8",
+        )
+        status, files = run_with_workers(monkeypatch, "risk", cfg, tmp_path / "out", 1)
+        assert status == 1
+        stage = json.loads(files["summary.json"])["stages"][1]
+        assert stage["error"] == "; ".join(
+            f"{label} (residuals): score columns are collinear (design rank 2 < 3)"
+            for label in "ABC"
+        )
+        rows = files["risk.csv"].decode().splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == {"raw-returns"}
 
     def test_fork_warning_stays_out_of_the_manifest(self, tmp_path, monkeypatch):
         cfg = DEMO_DIR / "demo.cfg"

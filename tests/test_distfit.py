@@ -136,6 +136,10 @@ class TestMixtureEm:
         with pytest.raises(InsufficientDataError):
             fit_mixture_em(series_of(np.linspace(-1, 1, 29)), k_max=2)
 
+    def test_constant_series_rejected(self):
+        with pytest.raises(DegenerateVarianceError, match="series 'x' is constant"):
+            fit_mixture_em(series_of(np.full(200, 1.0)))
+
     def test_estep_matches_logsumexp_reference(self):
         from scipy.special import logsumexp
 

@@ -20,9 +20,10 @@ from retlab.risk import (
     RiskConfig,
     average_loss,
     loss_fractile,
+    risk_jobs,
     risk_report,
 )
-from retlab.series import Month, ReturnSeries, TimeGrid
+from retlab.series import Month, Panel, ReturnSeries, TimeGrid
 from retlab.synth import GeneratorSpec, generate
 
 
@@ -280,29 +281,13 @@ class TestRiskReport:
         panel = generate(spec)
         target = panel.series[0]
         raw = risk_report(target)
-        config = RiskConfig(panel=panel, n_factors=1)
-        resid = risk_report(target, basis="residuals", config=config)
-        assert resid.basis == "residuals"
+        jobs, sweep_error = risk_jobs([target], panel, 1)
+        assert sweep_error is None
+        assert [basis for _, basis in jobs] == ["raw-returns"] + ["residuals"] * 4
+        resid_target, _ = jobs[1]
+        assert resid_target.label == target.label
+        resid = risk_report(resid_target)
         assert resid.cell("EM", 0.95).loss < raw.cell("EM", 0.95).loss
-
-    def test_residual_basis_requires_matching_panel(self):
-        s = gaussian_sample(seed=96, n=300)
-        with pytest.raises(ValidationError):
-            risk_report(s, basis="residuals")
-        spec = GeneratorSpec(
-            kind="factor-panel",
-            n=300,
-            seed=97,
-            parameters={
-                "loadings": [[1.0], [1.0]],
-                "factor_sds": [2.0],
-                "idio_sds": [1.0, 1.0],
-                "means": [0.0, 0.0],
-            },
-        )
-        config = RiskConfig(panel=generate(spec), n_factors=1)
-        with pytest.raises(ValidationError):
-            risk_report(s, basis="residuals", config=config)
 
     def test_thick_tails_beat_the_gaussian_baseline(self):
         spec = GeneratorSpec(
@@ -336,11 +321,24 @@ class TestRiskReport:
             RiskConfig(fractiles=(1.0,))
 
         def no_fit(*args, **kwargs):
-            raise AssertionError("fitted before the basis was checked")
+            raise AssertionError("fitted while making the jobs")
 
+        # the stage's jobs carry one of the two bases and fit nothing
         monkeypatch.setattr(risk, "fit_mixture_em", no_fit)
-        with pytest.raises(ValidationError, match="unknown basis 'levels'"):
-            risk_report(gaussian_sample(seed=1, n=200), basis="levels")
+        panel = Panel(tuple(
+            series_of(gaussian_sample(seed=seed, n=200).values, label=label)
+            for seed, label in ((1, "a"), (2, "b"))
+        ))
+        jobs, sweep_error = risk_jobs(list(panel.series), panel, 1)
+        assert sweep_error is None
+        assert [(s.label, basis) for s, basis in jobs] == [
+            ("a", "raw-returns"), ("b", "raw-returns"),
+            ("a", "residuals"), ("b", "residuals"),
+        ]
+        # no residual basis once the factors span the panel
+        assert risk_jobs(list(panel.series), panel, 2) == (
+            [(s, "raw-returns") for s in panel.series], None
+        )
         with pytest.raises(ValidationError):
             RiskConfig(fractiles=())
         with pytest.raises(ValidationError):
