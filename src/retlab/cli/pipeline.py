@@ -572,7 +572,7 @@ _STAGES = {
 # result fields that summary.json leaves out; every other field of a
 # result object is recorded, in declaration order
 _UNRECORDED = {
-    MixtureFit: {"n", "n_iter", "sd_floor_hit", "log_likelihood_path"},
+    MixtureFit: {"n", "n_iter", "log_likelihood_path"},
     GpdFit: {"log_likelihood", "score_norm"},
     GarchFit: {"conditional_variance_path", "n", "h1", "converged"},
     UnitRootReport: {"label", "n", "kpss_reject_5pct", "kpss_reject_1pct"},

@@ -189,9 +189,9 @@ def fit_garch11(s: ReturnSeries) -> GarchFit:
     if n < 100:
         raise InsufficientDataError(f"GARCH fit needs n >= 100, got {n}")
     x = s.values
-    h1 = float(np.var(x))
-    if h1 <= 0:
+    if np.ptp(x) == 0:
         raise DegenerateVarianceError(f"series {s.label!r} is constant")
+    h1 = float(np.var(x))
     sd = math.sqrt(h1)
     mu0 = float(x.mean())
 

@@ -3,9 +3,10 @@ threshold).
 
 The threshold is an empirical quantile of the loss sample (default 0.90).
 Shape and scale are maximum likelihood, found by quasi-Newton descent in
-(shape, log scale) and polished with Newton steps in natural coordinates
-until the score norm drops below 1e-6; a fit whose score norm cannot reach
-1e-5 is rejected rather than returned silently.
+(shape, log scale) and polished with Newton steps in the same coordinates.
+The score there, per exceedance, does not depend on the data's units: the
+polish stops once its norm is at most 1e-10, and a fit whose norm cannot
+get below 1e-8 is rejected rather than returned silently.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from ..errors import (
 from ..series import ReturnSeries
 
 _XI_SMALL = 1e-5  # below this, use series expansions around xi = 0
+# per-exceedance score norm in (shape, log scale): the polish's goal, and
+# the most a returned fit may carry
+_SCORE_STOP = 1e-10
+_SCORE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,8 @@ class GpdFit:
         scale_beta: GPD scale, positive.
         n_exceedances: observations above the threshold (at least 10).
         exceedance_rate: fraction of the full sample above the threshold.
-        score_norm: norm of the log-likelihood gradient at the optimum.
+        score_norm: norm of the log-likelihood gradient in (shape, log
+            scale) per exceedance at the optimum.
     """
 
     threshold_u: float
@@ -118,40 +124,49 @@ def _moment_start(y: np.ndarray):
     return float(np.clip(xi0, -0.4, 0.7)), max(beta0, 1e-8 * m)
 
 
-def _newton_polish(xi, beta, y, max_steps=40):
-    """Newton iterations on the analytic score with backtracking; the
-    Hessian comes from central differences of the gradient."""
+def _score(xi: float, log_beta: float, y: np.ndarray):
+    """Log-likelihood and its gradient in (shape, log scale) per
+    exceedance, which is free of the data's units."""
+    beta = math.exp(log_beta)
     ll, grad = gpd_loglike(xi, beta, y)
+    return ll, np.array([grad[0], beta * grad[1]]) / len(y)
+
+
+def _newton_polish(xi, beta, y, max_steps=40):
+    """Newton iterations in (shape, log scale) with backtracking; the
+    Hessian comes from central differences of the score."""
+    t = math.log(beta)
+    ll, score = _score(xi, t, y)
     for _ in range(max_steps):
-        if np.linalg.norm(grad) <= 1e-6:
+        if np.linalg.norm(score) <= _SCORE_STOP:
             break
         h = np.empty((2, 2))
-        steps = (max(1e-7, 1e-7 * abs(xi)), max(1e-7, 1e-7 * beta))
+        steps = (max(1e-7, 1e-7 * abs(xi)), 1e-7)
         for j, dj in enumerate(steps):
             bump = np.zeros(2)
             bump[j] = dj
-            _, g_hi = gpd_loglike(xi + bump[0], beta + bump[1], y)
-            _, g_lo = gpd_loglike(xi - bump[0], beta - bump[1], y)
+            _, g_hi = _score(xi + bump[0], t + bump[1], y)
+            _, g_lo = _score(xi - bump[0], t - bump[1], y)
             h[:, j] = (g_hi - g_lo) / (2.0 * dj)
         h = 0.5 * (h + h.T)
         try:
-            direction = np.linalg.solve(h, -grad)
+            direction = np.linalg.solve(h, -score)
         except np.linalg.LinAlgError:
-            direction = grad  # fall back to steepest ascent
+            direction = score  # fall back to steepest ascent
         scale = 1.0
         improved = False
         for _ in range(30):
             xi_new = xi + scale * direction[0]
-            beta_new = beta + scale * direction[1]
-            ll_new, grad_new = gpd_loglike(xi_new, beta_new, y)
-            if math.isfinite(ll_new) and ll_new >= ll - 1e-12:
-                xi, beta, ll, grad = xi_new, beta_new, ll_new, grad_new
+            t_new = t + scale * direction[1]
+            ll_new, score_new = _score(xi_new, t_new, y)
+            if math.isfinite(ll_new) and ll_new >= ll - 1e-12 * abs(ll):
+                xi, t, ll, score = xi_new, t_new, ll_new, score_new
                 improved = True
                 break
             scale *= 0.5
         if not improved:
             break
-    return xi, beta, ll, grad
+    return xi, math.exp(t), ll, score
 
 
 def fit_gpd_pot(losses: ReturnSeries, threshold_quantile: float = 0.90) -> GpdFit:
@@ -162,7 +177,7 @@ def fit_gpd_pot(losses: ReturnSeries, threshold_quantile: float = 0.90) -> GpdFi
         ValidationError: threshold_quantile outside (0, 1).
         InsufficientTailError: fewer than 10 exceedances.
         DegenerateVarianceError: exceedances carry no spread.
-        ConvergenceError: the score norm cannot be pushed below 1e-5.
+        ConvergenceError: the score norm cannot be pushed below 1e-8.
     """
     if not 0.0 < threshold_quantile < 1.0:
         raise ValidationError(
@@ -195,11 +210,12 @@ def fit_gpd_pot(losses: ReturnSeries, threshold_quantile: float = 0.90) -> GpdFi
         options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-10},
     )
     xi, beta = float(result.x[0]), float(math.exp(result.x[1]))
-    xi, beta, ll, grad = _newton_polish(xi, beta, y)
-    score_norm = float(np.linalg.norm(grad))
-    if score_norm >= 1e-5:
+    xi, beta, ll, score = _newton_polish(xi, beta, y)
+    score_norm = float(np.linalg.norm(score))
+    if score_norm >= _SCORE_TOL:
         raise ConvergenceError(
-            f"GPD score norm {score_norm:.2e} at the optimum exceeds 1e-5"
+            f"GPD score norm {score_norm:.2e} per exceedance at the optimum "
+            f"exceeds {_SCORE_TOL:.0e}"
         )
     infinite_mean = xi >= 1.0
     if infinite_mean:

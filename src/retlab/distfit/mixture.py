@@ -1,18 +1,24 @@
-"""Gaussian mixture fitting by EM with BIC order selection.
+"""Gaussian mixture fitting with BIC order selection.
 
-Restarts are deterministic: ten quantile-split initializations per component
-count, each burned in for a few EM iterations, then the best is run to full
-convergence. No randomness enters the fit, so repeated runs are bit
-identical. A component-sd floor of 1e-4 times the sample sd prevents
-likelihood blowup from a component collapsing onto a single point.
+Each component count k >= 2 is fitted on the standardized data
+z = (x - mean) / sd (MLE sd) and mapped back to the input scale, so the
+fit does not depend on the data's units. Restarts are deterministic: ten
+quantile-split initializations, each burned in for a few EM iterations.
+The best burn-in is then polished by L-BFGS-B on the log-likelihood (the
+EM/quasi-Newton hybrid of Jamshidian and Jennrich, 1997), which converges
+where EM crawls because components overlap. No randomness enters the fit,
+so repeated runs are bit identical. A component-sd floor of 1e-4 sample
+sds prevents likelihood blowup from a component collapsing onto a single
+point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import Bounds, minimize
 from scipy.special import logsumexp, ndtr
 
 from ..errors import DegenerateVarianceError, InsufficientDataError, ValidationError
@@ -20,13 +26,26 @@ from ..series import ReturnSeries
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# EM controls: convergence is a log-likelihood change below _TOL; ten
-# deterministic restarts each run _BURN_ITERS before the best continues
+# fit controls: ten deterministic restarts each run at most _BURN_ITERS EM
+# iterations (stopping early on a log-likelihood change below _TOL); the
+# best is polished until the projected gradient per observation is at most
+# _TOL, in at most _MAX_EVALS likelihood evaluations
 _TOL = 1e-8
-_MAX_ITERS = 2000
+_MAX_EVALS = 1000
 _N_RESTARTS = 10
 _BURN_ITERS = 15
 _SD_FLOOR_FACTOR = 1e-4
+
+
+@dataclass(frozen=True)
+class MixtureCandidate:
+    """One component count tried in the BIC order pick."""
+
+    k: int
+    log_likelihood: float
+    bic: float
+    converged: bool
+    n_iter: int
 
 
 @dataclass(frozen=True)
@@ -37,11 +56,18 @@ class MixtureFit:
     -2*log_likelihood + (3k-1)*ln(n): k means, k sds, k-1 free weights.
 
     Attributes:
-        converged: full EM run met the tolerance within its iteration budget.
-        sd_floor_hit: the component-sd floor clamped at least one update
-            (log-likelihood monotonicity is not guaranteed on such steps).
-        log_likelihood_path: per-iteration log-likelihood of the final
-            (post-burn-in) EM run, for monotonicity audits.
+        converged: the projected log-likelihood gradient per observation, in
+            the polish's standardized coordinates, is at most 1e-8 at the
+            returned parameters (k = 1 is exact).
+        n_iter: EM burn-in iterations of the best start plus the polish's
+            likelihood evaluations.
+        sd_floor_hit: the component-sd floor clamped a burn-in update (log-
+            likelihood monotonicity is not guaranteed on such steps) or
+            binds at the optimum.
+        log_likelihood_path: per-iteration log-likelihood of the best
+            start's EM burn-in, then the polished log-likelihood.
+        candidates: every component count tried, in order, when this fit
+            is the BIC pick of `fit_mixture_em`; empty otherwise.
     """
 
     k: int
@@ -55,6 +81,7 @@ class MixtureFit:
     n_iter: int
     sd_floor_hit: bool
     log_likelihood_path: np.ndarray
+    candidates: tuple[MixtureCandidate, ...] = ()
 
     def __post_init__(self) -> None:
         w, m, s = self.weights, self.means, self.sds
@@ -92,9 +119,7 @@ def mixture_cdf(fit: MixtureFit, x) -> np.ndarray:
     return ndtr(z) @ fit.weights
 
 
-def _quantile_split_init(
-    x_sorted: np.ndarray, k: int, exponent: float, sd_floor: float
-):
+def _quantile_split_init(x_sorted: np.ndarray, k: int, exponent: float):
     """Split sorted data at k quantile cuts shaped by `exponent` and take
     each slice's weight, mean, and sd as one component's start."""
     n = len(x_sorted)
@@ -109,7 +134,7 @@ def _quantile_split_init(
         piece = x_sorted[cuts[m] : cuts[m + 1]]
         w[m] = len(piece) / n
         mu[m] = piece.mean()
-        sd[m] = max(float(piece.std()), sd_floor)
+        sd[m] = max(float(piece.std()), _SD_FLOOR_FACTOR)
     return w, mu, sd
 
 
@@ -202,15 +227,14 @@ class _Workspace:
 # densities far from a component underflow to 0 by design; the state is
 # entered once per run, not per E-step, as entering it costs about 2 us
 @np.errstate(under="ignore")
-def _em_run(x, w, mu, sd, max_iter, sd_floor, work: _Workspace):
+def _em_run(w, mu, sd, work: _Workspace):
     """EM iterations from one start. Returns updated parameters, the
-    log-likelihood path, whether tolerance was met, and whether the sd
-    floor clamped any update."""
+    log-likelihood path, and whether the sd floor clamped any update.
+    The data are standardized, so the floor is _SD_FLOOR_FACTOR itself."""
     path = []
     floor_hit = False
-    converged = False
     prev_ll = -np.inf
-    for _ in range(max_iter):
+    for _ in range(_BURN_ITERS):
         ll, bulk, sum_x, sum_x2 = work.log_likelihood_and_moments(w, mu, sd)
         path.append(ll)
         if ll - prev_ll < _TOL and len(path) > 1:
@@ -219,8 +243,7 @@ def _em_run(x, w, mu, sd, max_iter, sd_floor, work: _Workspace):
                     f"EM log-likelihood decreased {prev_ll} -> {ll} without "
                     f"a floored sd; this is a bug"
                 )
-            converged = True
-            break
+            return w, mu, sd, path, floor_hit
         prev_ll = ll
         bulk = np.maximum(bulk, 1e-12)
         w = bulk / bulk.sum()
@@ -228,25 +251,86 @@ def _em_run(x, w, mu, sd, max_iter, sd_floor, work: _Workspace):
         # sum r*(x - mu)^2 expanded around the freshly updated mean
         var = sum_x2 / bulk - mu * mu
         new_sd = np.sqrt(np.maximum(var, 0.0))
-        if (new_sd < sd_floor).any():
+        if (new_sd < _SD_FLOOR_FACTOR).any():
             floor_hit = True
-            new_sd = np.maximum(new_sd, sd_floor)
+            new_sd = np.maximum(new_sd, _SD_FLOOR_FACTOR)
         sd = new_sd
-    if not converged:
-        # budget exhausted right after an M-step: record the final
-        # parameters' likelihood so the returned pair is consistent
-        final_ll, _, _, _ = work.log_likelihood_and_moments(w, mu, sd)
-        path.append(final_ll)
-    return w, mu, sd, path, converged, floor_hit
+    # budget exhausted right after an M-step: record the final
+    # parameters' likelihood so the returned pair is consistent
+    final_ll, _, _, _ = work.log_likelihood_and_moments(w, mu, sd)
+    path.append(final_ll)
+    return w, mu, sd, path, floor_hit
 
 
-def _fit_k(x: np.ndarray, k: int, n: int) -> MixtureFit:
-    sample_sd_mle = float(x.std())
-    sd_floor = _SD_FLOOR_FACTOR * sample_sd_mle
+def _unpack(theta: np.ndarray, k: int):
+    """(weights, means, sds) from polish coordinates: k-1 weight logits
+    against component 0, k means, k log sds."""
+    logits = np.concatenate(([0.0], theta[: k - 1]))
+    w = np.exp(logits - logits.max())
+    return w / w.sum(), theta[k - 1 : 2 * k - 1], np.exp(theta[2 * k - 1 :])
+
+
+def _score(theta: np.ndarray, k: int, work: _Workspace):
+    """Log-likelihood and its gradient in polish coordinates, from the
+    responsibility moments of one E-step; -inf where a weight underflows
+    or an sd overflows."""
+    w, mu, sd = _unpack(theta, k)
+    if not (w.min() > 0.0 and np.isfinite(sd).all()):
+        return -np.inf, np.zeros_like(theta)
+    ll, bulk, sum_z, sum_z2 = work.log_likelihood_and_moments(w, mu, sd)
+    var = sd * sd
+    grad = np.concatenate((
+        bulk[1:] - bulk.sum() * w[1:],
+        (sum_z - mu * bulk) / var,
+        (sum_z2 - 2.0 * mu * sum_z + mu * mu * bulk) / var - bulk,
+    ))
+    return ll, grad
+
+
+@np.errstate(under="ignore", over="ignore")
+def _polish(w, mu, sd, work: _Workspace):
+    """Maximize the standardized log-likelihood by L-BFGS-B from a burn-in
+    result. Returns the parameters, their log-likelihood, the likelihood
+    evaluations used, whether the stopping rule holds at the returned
+    point, and whether an sd sits on its floor there."""
+    k, n = len(w), len(work.x)
+    theta0 = np.concatenate((np.log(w[1:] / w[0]), mu, np.log(sd)))
+    lower = np.full(3 * k - 1, -np.inf)
+    lower[2 * k - 1 :] = math.log(_SD_FLOOR_FACTOR)
+
+    def objective(theta):
+        ll, grad = _score(theta, k, work)
+        return -ll / n, -grad / n
+
+    start_ll, _ = _score(theta0, k, work)
+    result = minimize(
+        objective, theta0, jac=True, method="L-BFGS-B",
+        bounds=Bounds(lower, np.inf),
+        options={"maxfun": _MAX_EVALS, "gtol": _TOL, "ftol": 0.0},
+    )
+    theta = result.x
+    ll, grad = _score(theta, k, work)
+    if not ll >= start_ll:
+        raise RuntimeError(
+            f"mixture polish ended at log-likelihood {ll} below its start "
+            f"{start_ll}; this is a bug"
+        )
+    # L-BFGS-B's own stopping measure, recomputed: the largest entry of the
+    # projected gradient of -ll/n, where a positive entry counts at most
+    # the distance to its lower bound
+    g = -grad / n
+    projected = np.where(g > 0, np.minimum(theta - lower, g), g)
+    converged = float(np.abs(projected).max()) <= _TOL
+    floor_hit = bool(np.any(theta[2 * k - 1 :] <= lower[2 * k - 1 :]))
+    return (*_unpack(theta, k), ll, result.nfev, converged, floor_hit)
+
+
+def _fit_k(x: np.ndarray, k: int) -> MixtureFit:
+    n = len(x)
     if k == 1:
-        # EM's fixed point for one component is the plain Gaussian MLE
+        # the one-component MLE is the sample mean and MLE sd
         mu = float(x.mean())
-        sd = max(sample_sd_mle, sd_floor)
+        sd = float(x.std())
         ll = float(
             np.sum(-0.5 * (((x - mu) / sd) ** 2 + _LOG_2PI) - math.log(sd))
         )
@@ -264,37 +348,36 @@ def _fit_k(x: np.ndarray, k: int, n: int) -> MixtureFit:
             log_likelihood_path=np.array([ll]),
         )
 
-    x_sorted = np.sort(x)
-    work = _Workspace(x, k)
+    center, scale = float(x.mean()), float(x.std())
+    z = (x - center) / scale
+    z_sorted = np.sort(z)
+    work = _Workspace(z, k)
     best = None
     for j in range(_N_RESTARTS):
         exponent = 0.5 + j / (_N_RESTARTS - 1)  # 0.5 .. 1.5, j=4/5 near equal split
-        w0, mu0, sd0 = _quantile_split_init(x_sorted, k, exponent, sd_floor)
-        w1, mu1, sd1, path, _, fl = _em_run(
-            x, w0, mu0, sd0, _BURN_ITERS, sd_floor, work
-        )
-        if best is None or path[-1] > best[0]:
-            best = (path[-1], w1, mu1, sd1, len(path), fl)
+        start = _quantile_split_init(z_sorted, k, exponent)
+        w, mu, sd, path, floor_hit = _em_run(*start, work)
+        if best is None or path[-1] > best[3][-1]:
+            best = (w, mu, sd, path, floor_hit)
 
-    _, w, mu, sd, burn_iters, burn_floor = best
-    w, mu, sd, path, converged, floor_hit = _em_run(
-        x, w, mu, sd, _MAX_ITERS - _BURN_ITERS, sd_floor, work
-    )
+    w, mu, sd, burn_path, burn_floor = best
+    w, mu, sd, ll, n_evals, converged, floor_hit = _polish(w, mu, sd, work)
     order = np.argsort(sd, kind="stable")
-    w, mu, sd = w[order], mu[order], sd[order]
-    ll = path[-1]
+    # back to the input scale: the density picks up 1/scale per observation
+    shift = n * math.log(scale)
+    ll -= shift
     return MixtureFit(
         k=k,
-        weights=w,
-        means=mu,
-        sds=sd,
+        weights=w[order],
+        means=center + scale * mu[order],
+        sds=scale * sd[order],
         log_likelihood=ll,
         bic=-2.0 * ll + (3 * k - 1) * math.log(n),
         n=n,
         converged=converged,
-        n_iter=burn_iters + len(path),
-        sd_floor_hit=floor_hit or burn_floor,
-        log_likelihood_path=np.asarray(path),
+        n_iter=len(burn_path) + n_evals,
+        sd_floor_hit=burn_floor or floor_hit,
+        log_likelihood_path=np.append(np.asarray(burn_path) - shift, ll),
     )
 
 
@@ -312,8 +395,12 @@ def fit_mixture_em(s: ReturnSeries, k_max: int = 3) -> MixtureFit:
     if n < 30:
         raise InsufficientDataError(f"mixture fit needs n >= 30, got {n}")
     x = s.values
-    if float(np.var(x)) <= 0:
+    if np.ptp(x) == 0:
         raise DegenerateVarianceError(f"series {s.label!r} is constant")
-    fits = [_fit_k(x, k, n) for k in range(1, k_max + 1)]
+    fits = [_fit_k(x, k) for k in range(1, k_max + 1)]
     best = min(fits, key=lambda f: f.bic)  # ties go to the smaller k
-    return best
+    candidates = tuple(
+        MixtureCandidate(f.k, f.log_likelihood, f.bic, f.converged, f.n_iter)
+        for f in fits
+    )
+    return replace(best, candidates=candidates)

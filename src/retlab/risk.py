@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 from .distfit import (
@@ -37,7 +38,9 @@ from .series import Panel, ReturnSeries
 MODELS = ("EM", "GPD", "GARCH")
 GARCH_CONDITIONINGS = ("one-step", "unconditional")
 
-_BISECT_TOL = 1e-10
+# the mixture fractile's root tolerance, relative to the fractile and to
+# the widest component's sd
+_ROOT_RTOL = 1e-12
 
 
 def _check_fractile(p: float) -> None:
@@ -131,14 +134,11 @@ class RiskReport:
 def _mixture_fractile(fit: MixtureFit, p: float) -> float:
     lo = float(np.min(fit.means - 40.0 * fit.sds))
     hi = float(np.max(fit.means + 40.0 * fit.sds))
-    # bisection: mixture CDF is continuous and strictly increasing
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if float(mixture_cdf(fit, mid)[0]) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # the mixture CDF is continuous and strictly increasing on the bracket
+    return brentq(
+        lambda v: float(mixture_cdf(fit, v)[0]) - p, lo, hi,
+        xtol=_ROOT_RTOL * float(np.max(fit.sds)), rtol=_ROOT_RTOL,
+    )
 
 
 def _mixture_average_loss(fit: MixtureFit, p: float) -> float:

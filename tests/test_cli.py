@@ -378,7 +378,11 @@ class TestCommands:
         assert list(risk) == ["fit_errors", "mixture", "gpd", "garch"]
         assert list(risk["mixture"]) == [
             "k", "weights", "means", "sds", "log_likelihood", "bic", "converged",
+            "sd_floor_hit", "candidates",
         ]
+        assert [list(c) for c in risk["mixture"]["candidates"]] == [
+            ["k", "log_likelihood", "bic", "converged", "n_iter"]
+        ] * 3
         assert list(risk["gpd"]) == [
             "threshold_u", "shape_xi", "scale_beta", "n_exceedances",
             "exceedance_rate", "infinite_mean",

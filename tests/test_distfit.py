@@ -140,6 +140,83 @@ class TestMixtureEm:
         with pytest.raises(DegenerateVarianceError, match="series 'x' is constant"):
             fit_mixture_em(series_of(np.full(200, 1.0)))
 
+    def test_constant_series_without_exact_mean_rejected(self):
+        # 2.7 does not survive mean-and-subtract: np.var gives about 2e-31
+        with pytest.raises(DegenerateVarianceError, match="series 'x' is constant"):
+            fit_mixture_em(series_of(np.full(360, 2.7)))
+
+    @pytest.mark.parametrize("seed", [13, 17, 19])
+    def test_polish_does_not_lose_to_the_burn_in(self, seed):
+        from retlab.distfit.mixture import _fit_k
+
+        x = mixture_sample(seed=seed, n=4000).values
+        for k in (2, 3):
+            fit = _fit_k(x, k)
+            path = fit.log_likelihood_path
+            # the path is the best start's burn-in, then the polished value
+            assert path[-1] >= path[-2], f"k={k}: polish {path[-1]} < {path[-2]}"
+            assert fit.log_likelihood == path[-1]
+
+    def test_converged_means_small_projected_gradient(self):
+        from scipy.special import logsumexp
+
+        from retlab.distfit.mixture import _SD_FLOOR_FACTOR, _TOL, _fit_k
+
+        checked = 0
+        for seed in (13, 17, 19):
+            x = mixture_sample(seed=seed, n=4000).values
+            n = len(x)
+            z = (x - x.mean()) / x.std()
+            for k in (2, 3):
+                fit = _fit_k(x, k)
+                if not fit.converged:
+                    continue
+                # recompute the gradient of -ll/n in the polish coordinates
+                # (weight logits, means, log sds) on the standardized data
+                w = fit.weights
+                mu = (fit.means - x.mean()) / x.std()
+                sd = fit.sds / x.std()
+                logp = -0.5 * (((z[:, None] - mu) / sd) ** 2 + math.log(2 * math.pi))
+                logp += np.log(w) - np.log(sd)
+                r = np.exp(logp - logsumexp(logp, axis=1)[:, None])
+                bulk, sum_z, sum_z2 = r.sum(axis=0), r.T @ z, r.T @ (z * z)
+                g_logit = -(bulk - n * w) / n
+                g_mean = -(sum_z - mu * bulk) / sd**2 / n
+                g_log_sd = -((sum_z2 - 2 * mu * sum_z + mu * mu * bulk) / sd**2 - bulk) / n
+                # a log sd on its floor counts only if descent would lower it
+                on_floor = np.log(sd) <= math.log(_SD_FLOOR_FACTOR) + 1e-12
+                g_log_sd = np.where(on_floor & (g_log_sd > 0), 0.0, g_log_sd)
+                rest = max(np.abs(g_mean).max(), np.abs(g_log_sd).max())
+                # the component whose logit is pinned at 0 has no entry; it
+                # is not known after the sort by sd, so let the rule hold
+                # with one logit entry left out
+                logit_norm = np.sort(np.abs(g_logit))[-2]
+                assert max(rest, logit_norm) <= _TOL * (1 + 1e-6), (
+                    f"seed {seed} k={k}: projected gradient {max(rest, logit_norm)}"
+                )
+                checked += 1
+        assert checked >= 4, f"only {checked} of 6 fits converged"
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    def test_rescaled_data_rescale_the_fit(self, c):
+        # sds 1e-3 and 5e-3 keep c*x above -100 % for every c here
+        x = mixture_sample(seed=18, n=4000, sds=(1e-3, 5e-3)).values
+        base = fit_mixture_em(series_of(x), k_max=3)
+        fit = fit_mixture_em(series_of(c * x), k_max=3)
+        assert fit.k == base.k == 2
+        np.testing.assert_allclose(fit.weights, base.weights, rtol=1e-6)
+        np.testing.assert_allclose(fit.means, c * base.means, rtol=1e-6)
+        np.testing.assert_allclose(fit.sds, c * base.sds, rtol=1e-6)
+
+    def test_candidates_list_every_k(self):
+        fit = fit_mixture_em(mixture_sample(seed=13, n=4000), k_max=3)
+        assert [c.k for c in fit.candidates] == [1, 2, 3]
+        picked = fit.candidates[fit.k - 1]
+        assert (picked.log_likelihood, picked.bic, picked.converged, picked.n_iter) == (
+            fit.log_likelihood, fit.bic, fit.converged, fit.n_iter
+        )
+        assert min(fit.candidates, key=lambda c: c.bic) is picked
+
     def test_estep_matches_logsumexp_reference(self):
         from scipy.special import logsumexp
 
@@ -221,6 +298,15 @@ class TestGpdFit:
         assert abs(fit.shape_xi - 0.3) < 0.08
         assert abs(fit.scale_beta - 2.0) / 2.0 < 0.15
         assert fit.score_norm < 1e-5
+
+    def test_shape_free_of_the_data_scale(self):
+        # criterion 2's GPD-tail law; at 1e-9 an absolute score tolerance
+        # used to reject this fit
+        s = gpd_tail_sample(seed=43, scale=1.0)
+        fits = {c: fit_gpd_pot(series_of(c * s.values)) for c in (1.0, 1e-3, 1e-9)}
+        for c, fit in fits.items():
+            assert fit.shape_xi == pytest.approx(fits[1.0].shape_xi, rel=1e-9), c
+            assert fit.scale_beta == pytest.approx(c * fits[1.0].scale_beta, rel=1e-9), c
 
     def test_shape_stable_across_thresholds(self):
         s = gpd_tail_sample(seed=25, n=40_000)
@@ -407,6 +493,10 @@ class TestGarchFit:
     def test_constant_series_rejected(self):
         with pytest.raises(DegenerateVarianceError):
             fit_garch11(series_of(np.full(200, 1.0)))
+
+    def test_constant_series_without_exact_mean_rejected(self):
+        with pytest.raises(DegenerateVarianceError, match="series 'x' is constant"):
+            fit_garch11(series_of(np.full(360, 2.7)))
 
 
 class TestArchLm:
