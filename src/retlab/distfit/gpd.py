@@ -132,10 +132,10 @@ def _score(xi: float, log_beta: float, y: np.ndarray):
     return ll, np.array([grad[0], beta * grad[1]]) / len(y)
 
 
-def _newton_polish(xi, beta, y, max_steps=40):
-    """Newton iterations in (shape, log scale) with backtracking; the
-    Hessian comes from central differences of the score."""
-    t = math.log(beta)
+def _newton_polish(xi, t, y, max_steps=40):
+    """Newton iterations in (shape, log scale t) with backtracking; the
+    Hessian comes from central differences of the score. Returns shape,
+    scale, log-likelihood and score."""
     ll, score = _score(xi, t, y)
     for _ in range(max_steps):
         if np.linalg.norm(score) <= _SCORE_STOP:
@@ -195,12 +195,10 @@ def fit_gpd_pot(losses: ReturnSeries, threshold_quantile: float = 0.90) -> GpdFi
     xi0, beta0 = _moment_start(y)
 
     def negloglike(theta):
-        xi, log_beta = theta
-        ll, grad = gpd_loglike(xi, math.exp(log_beta), y)
+        ll, score = _score(theta[0], theta[1], y)
         if not math.isfinite(ll):
             return 1e12, np.zeros(2)
-        # chain rule for the log-scale coordinate
-        return -ll, np.array([-grad[0], -grad[1] * math.exp(log_beta)])
+        return -ll, -len(y) * score
 
     result = minimize(
         negloglike,
@@ -209,8 +207,9 @@ def fit_gpd_pot(losses: ReturnSeries, threshold_quantile: float = 0.90) -> GpdFi
         method="L-BFGS-B",
         options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-10},
     )
-    xi, beta = float(result.x[0]), float(math.exp(result.x[1]))
-    xi, beta, ll, score = _newton_polish(xi, beta, y)
+    xi, beta, ll, score = _newton_polish(
+        float(result.x[0]), float(result.x[1]), y
+    )
     score_norm = float(np.linalg.norm(score))
     if score_norm >= _SCORE_TOL:
         raise ConvergenceError(
