@@ -225,17 +225,33 @@ def ingest(path: Path, layout: str):
     raise ValidationError(f"layout must be one of {LAYOUTS}, got {layout!r}")
 
 
+class _CellFormats(dict):
+    """CSV cell formatters keyed by the cell's exact type. A type not in
+    the table takes the formatter of its nearest base class that is, and
+    is entered under its own type for the next cell."""
+
+    def __missing__(self, kind: type):
+        fmt = next(self[base] for base in kind.__mro__[1:] if base in self)
+        self[kind] = fmt
+        return fmt
+
+
+_CELL_FORMATS = _CellFormats({
+    object: str,
+    type(None): lambda value: "",
+    bool: str,
+    np.bool_: lambda value: str(bool(value)),
+    int: int.__repr__,
+    np.integer: lambda value: str(int(value)),
+    # repr, not str: the shortest decimal that round-trips the float
+    float: float.__repr__,
+    np.floating: lambda value: repr(float(value)),
+})
+
+
 def full_precision(value) -> str:
     """Shortest decimal string that round-trips the float exactly."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if value is None:
-        return ""
-    return str(value)
+    return _CELL_FORMATS[type(value)](value)
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> list[str]:
@@ -243,11 +259,13 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> list[str]:
 
     Returns the artifact file names.
     """
+    formats = _CELL_FORMATS
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([full_precision(cell) for cell in row])
+        writer.writerows(
+            [formats[type(cell)](cell) for cell in row] for row in rows
+        )
     return [path.name]
 
 

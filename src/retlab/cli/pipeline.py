@@ -382,7 +382,7 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
     artifacts: list[str] = []
     params: dict = {}
     errors: list[str] = []
-    jobs, sweep_error = risk_jobs(_targets(ws), ws.panel, config.n_factors)
+    jobs, sweep_errors = risk_jobs(_targets(ws), ws.panel, config.n_factors)
     results = _map_risk_jobs([(s, config.risk) for s, _ in jobs])
 
     rows = []
@@ -417,8 +417,7 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
             )
             for x, m_val, n_val in zip(grid, mix, normal):
                 density_rows.append([s.label, x, m_val, n_val])
-    if sweep_error is not None:
-        errors += [f"{label} (residuals): {sweep_error}" for label in ws.panel.labels]
+    errors += [f"{label} (residuals): {error}" for label, error in sweep_errors.items()]
 
     artifacts += write_table(
         out_dir, "risk", "Loss fractiles and average losses by model",

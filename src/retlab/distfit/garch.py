@@ -3,8 +3,12 @@ heteroskedasticity test.
 
 The variance recursion h_t = omega + alpha*eps_{t-1}^2 + beta*h_{t-1} is
 seeded with h_1 equal to the sample variance (n denominator) of the input,
-held fixed during optimization. The likelihood and its analytic gradient
-are evaluated with linear filters, so a full evaluation is vectorized.
+held fixed during optimization. The path is one forward linear filter.
+The analytic gradient is the adjoint of that recursion: one backward
+filter of d ll / d h_t yields all four parameter derivatives, instead of
+one forward derivative recursion per parameter. A fit builds one
+workspace of preallocated length-n buffers and reuses it for every
+evaluation of every start, so an evaluation allocates almost nothing.
 Constraints (omega > 0, alpha, beta >= 0, alpha + beta < 1) are enforced by
 an unconstrained reparameterization, never by clipping.
 """
@@ -43,6 +47,7 @@ class GarchFit:
         one_step_variance: h_{n+1}, the forecast variance after sample end.
         integrated_warning: alpha + beta exceeded 0.999 (near-integrated).
         converged: optimizer reported success for the winning start.
+        n_evals: likelihood evaluations over all starts.
     """
 
     mu: float
@@ -56,6 +61,7 @@ class GarchFit:
     h1: float
     converged: bool
     integrated_warning: bool
+    n_evals: int
 
     def __post_init__(self) -> None:
         if self.omega <= 0:
@@ -75,25 +81,74 @@ class GarchFit:
         return self.omega / (1.0 - self.alpha - self.beta)
 
 
-def _recursions(params, x, h1):
-    """Variance path and its parameter derivatives via first-order filters."""
-    mu, omega, alpha, beta = params
-    eps = x - mu
-    n = len(x)
-    h = np.empty(n)
-    h[0] = h1
-    derivatives = np.zeros((4, n))  # d h / d (mu, omega, alpha, beta)
-    if n > 1:
-        eps_sq = eps[:-1] ** 2
-        a_poly = np.array([1.0, -beta])
+class _Workspace:
+    """Preallocated length-n buffers for GARCH likelihood evaluations at
+    one series and one h1, reused by every evaluation of a fit.
+
+    Each evaluation fills the buffers with `out=` ufuncs; only the two
+    `lfilter` calls allocate. The gradient is the adjoint of the variance
+    recursion: with c_t = d ll / d h_t, the backward filter
+    lambda_t = c_t + beta * lambda_{t+1} gives d ll / d theta as
+    sum_t lambda_t * (the direct derivative of h_t in theta), that is
+    lambda against 1, eps_{t-1}^2, h_{t-1} and -2 alpha eps_{t-1}.
+    """
+
+    def __init__(self, x: np.ndarray, h1: float):
+        n = len(x)
+        self.x = x
+        self.h1 = h1
+        self.eps = np.empty(n)
+        self.eps_sq = np.empty(n)
+        self.h = np.empty(n)
+        self.inv_h = np.empty(n)
+        self.ratio = np.empty(n)
+        self.scratch = np.empty(n)
+
+    def variance_path(self, mu, omega, alpha, beta) -> np.ndarray:
+        """Fill eps, eps_sq and h for (mu, omega, alpha, beta); returns h."""
+        eps, eps_sq, h = self.eps, self.eps_sq, self.h
+        np.subtract(self.x, mu, out=eps)
+        np.multiply(eps, eps, out=eps_sq)
+        h[0] = self.h1
+        drive = self.scratch[1:]
+        np.multiply(eps_sq[:-1], alpha, out=drive)
+        drive += omega
         h[1:] = lfilter(
-            [1.0], a_poly, omega + alpha * eps_sq, zi=np.array([beta * h1])
+            [1.0], [1.0, -beta], drive, zi=np.array([beta * self.h1])
         )[0]
-        # the four derivative recursions share the filter: one call over
-        # the stacked drives runs the same arithmetic row by row
-        drives = np.stack([-2.0 * alpha * eps[:-1], np.ones(n - 1), eps_sq, h[:-1]])
-        derivatives[:, 1:] = lfilter([1.0], a_poly, drives, zi=np.zeros((4, 1)))[0]
-    return eps, h, tuple(derivatives)
+        return h
+
+    def loglike(self, params):
+        """Gaussian log-likelihood and its gradient in (mu, omega, alpha,
+        beta), or (-inf, zeros) where the parameters or the path are
+        infeasible."""
+        mu, omega, alpha, beta = (float(v) for v in params)
+        if omega <= 0 or alpha < 0 or beta < 0:
+            return -np.inf, np.zeros(4)
+        eps, eps_sq, inv_h, ratio, scratch = (
+            self.eps, self.eps_sq, self.inv_h, self.ratio, self.scratch
+        )
+        h = self.variance_path(mu, omega, alpha, beta)
+        # NaN fails the first test, +inf the second
+        if not (h.min() > 0 and math.isfinite(h.max())):
+            return -np.inf, np.zeros(4)
+        np.divide(1.0, h, out=inv_h)
+        np.multiply(eps_sq, inv_h, out=ratio)
+        np.log(h, out=scratch)
+        scratch += _LOG_2PI
+        scratch += ratio
+        ll = -0.5 * float(scratch.sum())
+        # c_t = d ll / d h_t, then lambda_t = c_t + beta * lambda_{t+1}
+        # over t >= 2 (h_1 does not depend on the parameters)
+        c = np.subtract(ratio, 1.0, out=scratch)
+        c *= inv_h
+        c *= 0.5
+        lam = lfilter([1.0], [1.0, -beta], c[:0:-1])[::-1]
+        g_mu = float(eps @ inv_h) - 2.0 * alpha * float(lam @ eps[:-1])
+        g_omega = float(lam.sum())
+        g_alpha = float(lam @ eps_sq[:-1])
+        g_beta = float(lam @ h[:-1])
+        return ll, np.array([g_mu, g_omega, g_alpha, g_beta])
 
 
 def garch11_variance_path(params, values, h1: float | None = None) -> np.ndarray:
@@ -101,8 +156,8 @@ def garch11_variance_path(params, values, h1: float | None = None) -> np.ndarray
     x = np.asarray(values, dtype=np.float64)
     if h1 is None:
         h1 = float(np.var(x))
-    _, h, _ = _recursions(params, x, h1)
-    return h
+    mu, omega, alpha, beta = (float(v) for v in params)
+    return _Workspace(x, h1).variance_path(mu, omega, alpha, beta)
 
 
 def garch11_loglike(params, values, h1: float | None = None):
@@ -117,24 +172,7 @@ def garch11_loglike(params, values, h1: float | None = None):
     x = np.asarray(values, dtype=np.float64)
     if h1 is None:
         h1 = float(np.var(x))
-    mu, omega, alpha, beta = (float(v) for v in params)
-    if omega <= 0 or alpha < 0 or beta < 0:
-        return -np.inf, np.zeros(4)
-    eps, h, (d_mu, d_omega, d_alpha, d_beta) = _recursions(
-        (mu, omega, alpha, beta), x, h1
-    )
-    if (h <= 0).any() or not np.isfinite(h).all():
-        return -np.inf, np.zeros(4)
-    inv_h = 1.0 / h
-    ratio = eps**2 * inv_h
-    ll = -0.5 * float(np.sum(_LOG_2PI + np.log(h) + ratio))
-    # d ll / dh_t common factor
-    common = -0.5 * inv_h * (1.0 - ratio)
-    g_mu = float(np.sum(eps * inv_h) + np.sum(common * d_mu))
-    g_omega = float(np.sum(common * d_omega))
-    g_alpha = float(np.sum(common * d_alpha))
-    g_beta = float(np.sum(common * d_beta))
-    return ll, np.array([g_mu, g_omega, g_alpha, g_beta])
+    return _Workspace(x, h1).loglike(params)
 
 
 def _to_natural(raw):
@@ -194,10 +232,10 @@ def fit_garch11(s: ReturnSeries) -> GarchFit:
     h1 = float(np.var(x))
     sd = math.sqrt(h1)
     mu0 = float(x.mean())
+    workspace = _Workspace(x, h1)
 
     def objective(raw):
-        natural = _to_natural(raw)
-        ll, grad = garch11_loglike(natural, x, h1)
+        ll, grad = workspace.loglike(_to_natural(raw))
         if not math.isfinite(ll):
             return 1e12, np.zeros(4)
         return -ll, -_raw_gradient(raw, grad)
@@ -209,6 +247,7 @@ def fit_garch11(s: ReturnSeries) -> GarchFit:
         (-40.0, 40.0),
     ]
     best_res = None
+    n_evals = 0
     for alpha0, beta0 in _STARTS:
         omega0 = h1 * (1.0 - alpha0 - beta0)
         raw0 = _from_natural(mu0, omega0, alpha0, beta0)
@@ -220,11 +259,12 @@ def fit_garch11(s: ReturnSeries) -> GarchFit:
             bounds=bounds,
             options={"maxiter": 400, "ftol": 1e-13, "gtol": 1e-9},
         )
+        n_evals += res.nfev
         if best_res is None or res.fun < best_res.fun:
             best_res = res
     mu, omega, alpha, beta = (float(v) for v in _to_natural(best_res.x))
-    ll, grad = garch11_loglike((mu, omega, alpha, beta), x, h1)
-    _, h, _ = _recursions((mu, omega, alpha, beta), x, h1)
+    ll, _ = workspace.loglike((mu, omega, alpha, beta))
+    h = workspace.h.copy()
     integrated = alpha + beta > _INTEGRATED_WARN
     if integrated:
         warnings.warn(
@@ -253,6 +293,7 @@ def fit_garch11(s: ReturnSeries) -> GarchFit:
         h1=h1,
         converged=bool(best_res.success),
         integrated_warning=integrated,
+        n_evals=n_evals,
     )
 
 

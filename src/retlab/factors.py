@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DegenerateVarianceError,
     InsufficientDataError,
+    RetlabError,
     SingularDesignError,
     ValidationError,
 )
@@ -186,11 +187,13 @@ def factor_regression(s: ReturnSeries, scores: np.ndarray, k: int) -> FactorRegr
         )
     fitted = design @ coef
     resid = y - fitted
-    sst = float(np.sum((y - y.mean()) ** 2))
-    if sst == 0.0:
+    # np.ptp, not the sum of squares: a constant whose mean does not
+    # round-trip leaves a float-noise sum of squares above zero
+    if np.ptp(y) == 0:
         raise DegenerateVarianceError(
             f"series {s.label!r} is constant; R^2 undefined"
         )
+    sst = float(np.sum((y - y.mean()) ** 2))
     ssr = float(np.sum(resid**2))
     r2 = 1.0 - ssr / sst
     adj = 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
@@ -205,14 +208,22 @@ def factor_regression(s: ReturnSeries, scores: np.ndarray, k: int) -> FactorRegr
     )
 
 
-def residual_panel(p: Panel, k: int) -> Panel:
-    """Panel of factor-regression residuals, one per input series.
+def residual_panel(p: Panel, k: int) -> tuple[Panel | None, dict[str, str]]:
+    """Factor-regression residuals of the panel's members, and the error
+    text of each member whose regression fails.
 
-    Each residual series keeps its label and grid and has mean zero; with
-    k=0 this is just the demeaned panel.
+    Returns the panel of residuals, one per member whose regression
+    succeeds (None if none does), and a label -> `RetlabError` text dict
+    of the others, in panel order. Each residual series keeps its label
+    and grid and has mean zero; with k=0 this is just the demeaned panel.
+    Errors of the decomposition itself (see `pca`) are raised.
     """
-    result = pca(p)
-    members = tuple(
-        factor_regression(s, result.scores, k).residuals for s in p.series
-    )
-    return Panel(members)
+    scores = pca(p).scores
+    members = []
+    failed = {}
+    for s in p.series:
+        try:
+            members.append(factor_regression(s, scores, k).residuals)
+        except RetlabError as exc:
+            failed[s.label] = str(exc)
+    return (Panel(tuple(members)) if members else None), failed

@@ -263,24 +263,27 @@ def _fit_all(losses: ReturnSeries, config: RiskConfig):
 
 def risk_jobs(
     targets: list[ReturnSeries], panel: Panel, n_factors: int
-) -> tuple[list[tuple[ReturnSeries, str]], str | None]:
+) -> tuple[list[tuple[ReturnSeries, str]], dict[str, str]]:
     """The (series, basis) pairs of a risk stage, and the residual
-    sweep's error text.
+    sweep's error text by panel member.
 
     Every target is a "raw-returns" job. When the panel is wider than
     n_factors, each member's residual after its first n_factors
     principal components follows as a "residuals" job; the residual
-    panel is computed once, here. If that sweep fails, no residual job
-    is made and its `RetlabError` text is returned, else None.
+    panel is computed once, here. A member whose residual cannot be
+    computed gets no job and its `RetlabError` text instead; if the
+    decomposition itself fails, every member gets its text.
     """
     jobs = [(s, "raw-returns") for s in targets]
     if panel.width <= n_factors:
-        return jobs, None
+        return jobs, {}
     try:
-        resid = residual_panel(panel, n_factors)
+        resid, failed = residual_panel(panel, n_factors)
     except RetlabError as exc:
-        return jobs, str(exc)
-    return jobs + [(s, "residuals") for s in resid.series], None
+        return jobs, {label: str(exc) for label in panel.labels}
+    if resid is not None:
+        jobs += [(s, "residuals") for s in resid.series]
+    return jobs, failed
 
 
 def risk_report(s: ReturnSeries, config: RiskConfig | None = None) -> RiskReport:

@@ -389,7 +389,7 @@ class TestCommands:
         ]
         assert list(risk["garch"]) == [
             "mu", "omega", "alpha", "beta", "log_likelihood",
-            "one_step_variance", "integrated_warning",
+            "one_step_variance", "integrated_warning", "n_evals",
         ]
         assert list(params["unitroot"]["A/log-price"]) == [
             "adf_stat", "adf_p_value", "adf_lags", "pp_stat", "pp_p_value",
@@ -674,6 +674,26 @@ class TestRiskWorkers:
         )
         rows = files["risk.csv"].decode().splitlines()[1:]
         assert {row.split(",")[1] for row in rows} == {"raw-returns"}
+
+    @pytest.mark.parametrize("level", ["1.0", "0.4"])
+    def test_constant_member_fails_only_its_residual_job(self, tmp_path, monkeypatch, level):
+        # 160 months of 0.4 do not round-trip through the mean; of 1.0 they do
+        a, b = panel_fixture().series[:2]
+        k = ReturnSeries("K", a.grid, np.full(len(a), float(level)))
+        write_panel(tmp_path / "returns.csv", Panel((a, b, k)))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "[inputs]\nreturns = returns.csv\nlayout = wide\n"
+            "[series]\npanel = A, B, K\n[factors]\ncount = 1\n",
+            encoding="utf-8",
+        )
+        status, files = run_with_workers(monkeypatch, "risk", cfg, tmp_path / "out", 1)
+        assert status == 1
+        stage = json.loads(files["summary.json"])["stages"][1]
+        assert stage["error"] == "K (residuals): series 'K' is constant; R^2 undefined"
+        rows = files["risk.csv"].decode().splitlines()[1:]
+        residual_jobs = {row.split(",")[0] for row in rows if row.split(",")[1] == "residuals"}
+        assert residual_jobs == {"A", "B"}
 
     def test_fork_warning_stays_out_of_the_manifest(self, tmp_path, monkeypatch):
         cfg = DEMO_DIR / "demo.cfg"

@@ -395,34 +395,53 @@ class TestGarchLoglike:
         np.testing.assert_allclose(h, expected, rtol=1e-12)
         assert np.all(h > 0)
 
-    def test_stacked_derivative_filter_matches_one_filter_per_parameter(self):
-        """`_recursions` runs the four derivative recursions as one stacked
-        `lfilter` call; the oracle is one call per parameter, and the bits
-        must agree, since fit results are compared byte for byte."""
+    def test_adjoint_gradient_matches_forward_derivative_recursions(self):
+        """The workspace takes the gradient from one backward (adjoint)
+        filter; the oracle runs one forward derivative recursion per
+        parameter and sums each against c_t = d ll / d h_t."""
         from scipy.signal import lfilter
 
-        from retlab.distfit.garch import _recursions
+        from retlab.distfit.garch import _Workspace
 
         for seed, n, params in [
             (44, 360, (0.3, 0.2, 0.1, 0.8)),
             (45, 2000, (-0.1, 1e-3, 1e-12, 0.999998)),
             (46, 2, (0.0, 0.5, 0.3, 0.5)),
+            (47, 20_000, (0.25, 0.18, 0.08, 0.83)),
         ]:
             x = garch_sample(seed=seed, n=max(n, 100)).values[:n]
             mu, omega, alpha, beta = params
             h1 = float(np.var(x))
-            eps, h, (d_mu, d_omega, d_alpha, d_beta) = _recursions(params, x, h1)
-            a_poly = np.array([1.0, -beta])
-            zi0 = np.array([0.0])
-            drives = {
-                "mu": -2.0 * alpha * eps[:-1], "omega": np.ones(n - 1),
-                "alpha": eps[:-1] ** 2, "beta": h[:-1],
-            }
-            got = {"mu": d_mu, "omega": d_omega, "alpha": d_alpha, "beta": d_beta}
-            for name, drive in drives.items():
-                expected = np.zeros(n)
-                expected[1:] = lfilter([1.0], a_poly, drive, zi=zi0)[0]
-                np.testing.assert_array_equal(got[name], expected, err_msg=name)
+            _, grad = _Workspace(x, h1).loglike(params)
+            eps = x - mu
+            h = garch11_variance_path(params, x, h1)
+            c = 0.5 * (eps**2 / h - 1.0) / h
+            drives = [-2.0 * alpha * eps[:-1], np.ones(n - 1), eps[:-1] ** 2, h[:-1]]
+            expected = np.empty(4)
+            for i, drive in enumerate(drives):
+                dh = lfilter([1.0], [1.0, -beta], drive, zi=np.array([0.0]))[0]
+                expected[i] = np.sum(c[1:] * dh)
+            expected[0] += np.sum(eps / h)
+            np.testing.assert_array_less(
+                np.abs(grad - expected), 1e-12 * np.maximum(1.0, np.abs(expected)),
+                err_msg=f"seed {seed}, n {n}",
+            )
+
+    def test_workspace_reuse_leaks_no_state(self):
+        from retlab.distfit.garch import _Workspace
+
+        x = garch_sample(seed=48, n=500).values
+        ws = _Workspace(x, float(np.var(x)))
+        a = (0.3, 0.2, 0.1, 0.8)
+        ll_a, grad_a = ws.loglike(a)
+        ll_b, grad_b = ws.loglike((0.3, -0.2, 0.1, 0.8))
+        assert ll_b == -np.inf and np.all(grad_b == 0)
+        # a path that overflows fills the buffers before it is rejected
+        ll_b, _ = ws.loglike((0.3, 1e308, 0.9, 0.9))
+        assert ll_b == -np.inf
+        ll_again, grad_again = ws.loglike(a)
+        assert ll_again == ll_a
+        np.testing.assert_array_equal(grad_again, grad_a)
 
     def test_infeasible_parameters_rejected(self):
         s = garch_sample(seed=43, n=200)

@@ -225,6 +225,16 @@ class TestFactorRegression:
         with pytest.raises(DegenerateVarianceError):
             factor_regression(s, result.scores, k=1)
 
+    @pytest.mark.parametrize("level", [1.0, 0.4])
+    def test_constant_series_without_exact_mean_rejected(self, level):
+        # 160 months of 0.4 do not round-trip through the mean, so their
+        # sum of squared deviations is float noise above zero; of 1.0 they do
+        panel = random_panel(16, n=160)
+        result = pca(panel)
+        s = ReturnSeries("c", panel.grid, np.full(len(panel), level))
+        with pytest.raises(DegenerateVarianceError, match="series 'c' is constant; R\\^2 undefined"):
+            factor_regression(s, result.scores, k=1)
+
     def test_row_mismatch_rejected(self):
         panel = random_panel(17)
         result = pca(panel)
@@ -238,21 +248,28 @@ class TestResidualPanel:
         for seed in range(4):
             panel = random_panel(200 + seed)
             for k in range(panel.width + 1):
-                resid = residual_panel(panel, k)
+                resid, _ = residual_panel(panel, k)
                 for orig, res in zip(panel.series, resid.series):
                     assert np.var(res.values) <= np.var(orig.values) + 1e-12
 
     def test_residuals_mean_zero(self):
         panel = random_panel(18)
-        resid = residual_panel(panel, 2)
+        resid, _ = residual_panel(panel, 2)
         for s in resid.series:
             assert abs(s.values.mean()) < 1e-10
 
     def test_grid_and_labels_preserved(self):
         panel = random_panel(19)
-        resid = residual_panel(panel, 1)
+        resid, _ = residual_panel(panel, 1)
         assert resid.grid == panel.grid
         assert resid.labels == panel.labels
+
+    def test_constant_member_fails_only_itself(self):
+        panel = random_panel(21, n=160)
+        const = ReturnSeries("K", panel.grid, np.full(len(panel), 0.4))
+        resid, failed = residual_panel(Panel(panel.series + (const,)), 1)
+        assert resid.labels == panel.labels
+        assert failed == {"K": "series 'K' is constant; R^2 undefined"}
 
     def test_factor_structure_is_removed(self):
         # one strong common factor; removing a single component kills the
@@ -268,7 +285,7 @@ class TestResidualPanel:
             },
         )
         panel = generate(spec)
-        resid = residual_panel(panel, 1)
+        resid, _ = residual_panel(panel, 1)
 
         def mean_offdiag(p):
             c = np.corrcoef(p.values.T)

@@ -281,8 +281,8 @@ class TestRiskReport:
         panel = generate(spec)
         target = panel.series[0]
         raw = risk_report(target)
-        jobs, sweep_error = risk_jobs([target], panel, 1)
-        assert sweep_error is None
+        jobs, sweep_errors = risk_jobs([target], panel, 1)
+        assert sweep_errors == {}
         assert [basis for _, basis in jobs] == ["raw-returns"] + ["residuals"] * 4
         resid_target, _ = jobs[1]
         assert resid_target.label == target.label
@@ -329,15 +329,15 @@ class TestRiskReport:
             series_of(gaussian_sample(seed=seed, n=200).values, label=label)
             for seed, label in ((1, "a"), (2, "b"))
         ))
-        jobs, sweep_error = risk_jobs(list(panel.series), panel, 1)
-        assert sweep_error is None
+        jobs, sweep_errors = risk_jobs(list(panel.series), panel, 1)
+        assert sweep_errors == {}
         assert [(s.label, basis) for s, basis in jobs] == [
             ("a", "raw-returns"), ("b", "raw-returns"),
             ("a", "residuals"), ("b", "residuals"),
         ]
         # no residual basis once the factors span the panel
         assert risk_jobs(list(panel.series), panel, 2) == (
-            [(s, "raw-returns") for s in panel.series], None
+            [(s, "raw-returns") for s in panel.series], {}
         )
         with pytest.raises(ValidationError):
             RiskConfig(fractiles=())
