@@ -243,7 +243,6 @@ _CELL_FORMATS = _CellFormats({
     np.bool_: lambda value: str(bool(value)),
     int: int.__repr__,
     np.integer: lambda value: str(int(value)),
-    # repr, not str: the shortest decimal that round-trips the float
     float: float.__repr__,
     np.floating: lambda value: repr(float(value)),
 })
@@ -259,13 +258,10 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> list[str]:
 
     Returns the artifact file names.
     """
-    formats = _CELL_FORMATS
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(
-            [formats[type(cell)](cell) for cell in row] for row in rows
-        )
+        writer.writerows([full_precision(cell) for cell in row] for row in rows)
     return [path.name]
 
 

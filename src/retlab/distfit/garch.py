@@ -5,10 +5,10 @@ The variance recursion h_t = omega + alpha*eps_{t-1}^2 + beta*h_{t-1} is
 seeded with h_1 equal to the sample variance (n denominator) of the input,
 held fixed during optimization. The path is one forward linear filter.
 The analytic gradient is the adjoint of that recursion: one backward
-filter of d ll / d h_t yields all four parameter derivatives, instead of
-one forward derivative recursion per parameter. A fit builds one
-workspace of preallocated length-n buffers and reuses it for every
-evaluation of every start, so an evaluation allocates almost nothing.
+filter of d ll / d h_t yields all four parameter derivatives. A fit
+builds one workspace of preallocated length-n buffers and reuses it for
+every evaluation of every start, so an evaluation allocates almost
+nothing.
 Constraints (omega > 0, alpha, beta >= 0, alpha + beta < 1) are enforced by
 an unconstrained reparameterization, never by clipping.
 """
