@@ -7,13 +7,16 @@ Three layouts, all UTF-8 / comma / `.` decimal / LF, dates as ISO year-month:
   a contiguous month span once sorted.
 * constituents: header ``date,id,return,market_cap``.
 
-Every rejection message carries the offending 1-based line number.
+Both return layouts go through one streamed reader, so neither row order
+nor layout changes the panel. A rejection names its 1-based line, except
+a gap, which names the series and the missing month.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +34,23 @@ from ..series import (
 LAYOUTS = ("wide", "long", "constituents")
 
 
-def _rows_of(path: Path) -> list[tuple[int, list[str]]]:
+@contextmanager
+def _reading(path: Path):
+    """Yield the header line number, the header and an iterator over the
+    other non-blank rows as (line number, stripped cells), read as it is
+    iterated. The file closes when the with-block ends, also when it
+    raises; a bare generator would stay open while the traceback lives."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            return [
+            rows = (
                 (line_no, [cell.strip() for cell in row])
                 for line_no, row in enumerate(csv.reader(handle), start=1)
                 if row
-            ]
+            )
+            first = next(rows, None)
+            if first is None:
+                raise ParseError(f"{path}: empty file")
+            yield first[0], first[1], rows
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -66,102 +78,23 @@ def _parse_value(text: str, line_no: int, column: str) -> float:
     return value
 
 
-def _header(rows: list[tuple[int, list[str]]], path: Path) -> list[str]:
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    return rows[0][1]
-
-
-def ingest_wide(path: Path) -> Panel:
-    """Read a wide-layout CSV into a Panel.
-
-    Rows may arrive in any month order; they are sorted. Gaps (a missing
-    month or a blank cell) and duplicate months are rejected.
-    """
-    rows = _rows_of(path)
-    header = _header(rows, path)
-    if len(header) < 2 or header[0] != "date":
-        raise ParseError(
-            f"line {rows[0][0]}: wide header must be 'date,<series...>', "
-            f"got {','.join(header)!r}"
-        )
-    labels = header[1:]
-    if len(set(labels)) != len(labels):
-        raise ParseError(f"line {rows[0][0]}: duplicate series column in header")
-
-    parsed: dict[Month, tuple[int, list[float]]] = {}
-    for line_no, cells in rows[1:]:
-        if len(cells) != len(header):
-            raise ParseError(
-                f"line {line_no}: expected {len(header)} cells, got {len(cells)}"
-            )
-        month = _parse_month(cells[0], line_no)
-        if month in parsed:
-            raise ParseError(f"line {line_no}: duplicate month {month}")
-        values = []
-        for label, cell in zip(labels, cells[1:]):
-            if cell == "":
-                raise GapError(
-                    f"line {line_no}: missing value for column {label!r} at {month}"
-                )
-            values.append(_parse_value(cell, line_no, label))
-        parsed[month] = (line_no, values)
-    if not parsed:
-        raise ParseError(f"{path}: no data rows")
-
-    months = sorted(parsed)
-    for prev, cur in zip(months, months[1:]):
-        if cur - prev != 1:
-            line_no = parsed[cur][0]
-            raise GapError(
-                f"line {line_no}: missing month {prev + 1} between {prev} and {cur}"
-            )
-    grid = TimeGrid(months[0], len(months))
-    data = np.array([parsed[m][1] for m in months])
-    return Panel(
-        tuple(
-            ReturnSeries(label, grid, data[:, j]) for j, label in enumerate(labels)
-        )
-    )
-
-
-def ingest_long(path: Path) -> Panel:
-    """Read a long-layout CSV into a Panel on the common month span.
-
-    Row order is irrelevant. Each series must cover a contiguous span;
-    the panel is the intersection of the per-series spans.
-    """
-    rows = _rows_of(path)
-    header = _header(rows, path)
-    if header != ["date", "series", "value"]:
-        raise ParseError(
-            f"line {rows[0][0]}: long header must be 'date,series,value', "
-            f"got {','.join(header)!r}"
-        )
-    # each distinct date text is parsed once; rows bucket by month ordinal
-    ordinals: dict[str, int] = {}
+def _panel_of(cells, path: Path, noun: str) -> Panel:
+    """Panel on the common month span of (line, month ordinal, series,
+    value text) cells; `noun` names a series in the blank-value message."""
     by_series: dict[str, dict[int, float]] = {}
-    for line_no, cells in rows[1:]:
-        if len(cells) != 3:
-            raise ParseError(f"line {line_no}: expected 3 cells, got {len(cells)}")
-        ordinal = ordinals.get(cells[0])
-        if ordinal is None:
-            ordinal = ordinals[cells[0]] = _parse_month(cells[0], line_no).ordinal
-        label = cells[1]
-        if not label:
-            raise ParseError(f"line {line_no}: empty series name")
+    for line_no, ordinal, label, text in cells:
         bucket = by_series.setdefault(label, {})
         if ordinal in bucket:
             raise ParseError(
                 f"line {line_no}: duplicate row for series {label!r} "
                 f"at {Month.from_ordinal(ordinal)}"
             )
-        if cells[2] == "":
+        if text == "":
             raise GapError(
-                f"line {line_no}: missing value for series {label!r} "
+                f"line {line_no}: missing value for {noun} {label!r} "
                 f"at {Month.from_ordinal(ordinal)}"
             )
-        bucket[ordinal] = _parse_value(cells[2], line_no, label)
+        bucket[ordinal] = _parse_value(text, line_no, label)
     if not by_series:
         raise ParseError(f"{path}: no data rows")
 
@@ -179,36 +112,94 @@ def ingest_long(path: Path) -> Panel:
     return align(series)
 
 
+def _wide_cells(rows, header: list[str]):
+    labels = header[1:]
+    for line_no, row in rows:
+        if len(row) != len(header):
+            raise ParseError(
+                f"line {line_no}: expected {len(header)} cells, got {len(row)}"
+            )
+        ordinal = _parse_month(row[0], line_no).ordinal
+        for label, text in zip(labels, row[1:]):
+            yield line_no, ordinal, label, text
+
+
+def _long_cells(rows):
+    # each distinct date text is parsed once
+    ordinals: dict[str, int] = {}
+    for line_no, row in rows:
+        if len(row) != 3:
+            raise ParseError(f"line {line_no}: expected 3 cells, got {len(row)}")
+        ordinal = ordinals.get(row[0])
+        if ordinal is None:
+            ordinal = ordinals[row[0]] = _parse_month(row[0], line_no).ordinal
+        if not row[1]:
+            raise ParseError(f"line {line_no}: empty series name")
+        yield line_no, ordinal, row[1], row[2]
+
+
+def ingest_wide(path: Path) -> Panel:
+    """Read a wide-layout CSV into a Panel.
+
+    Rows may arrive in any month order; they are sorted. Gaps (a missing
+    month or a blank cell) and duplicate months are rejected.
+    """
+    with _reading(path) as (header_line, header, rows):
+        if len(header) < 2 or header[0] != "date":
+            raise ParseError(
+                f"line {header_line}: wide header must be 'date,<series...>', "
+                f"got {','.join(header)!r}"
+            )
+        labels = header[1:]
+        if len(set(labels)) != len(labels):
+            raise ParseError(f"line {header_line}: duplicate series column in header")
+        return _panel_of(_wide_cells(rows, header), path, "column")
+
+
+def ingest_long(path: Path) -> Panel:
+    """Read a long-layout CSV into a Panel on the common month span.
+
+    Row order is irrelevant. Each series must cover a contiguous span;
+    the panel is the intersection of the per-series spans.
+    """
+    with _reading(path) as (header_line, header, rows):
+        if header != ["date", "series", "value"]:
+            raise ParseError(
+                f"line {header_line}: long header must be 'date,series,value', "
+                f"got {','.join(header)!r}"
+            )
+        return _panel_of(_long_cells(rows), path, "series")
+
+
 def ingest_constituents(path: Path) -> list[ConstituentRecord]:
     """Read a constituents-layout CSV into validated records."""
-    rows = _rows_of(path)
-    header = _header(rows, path)
-    if header != ["date", "id", "return", "market_cap"]:
-        raise ParseError(
-            f"line {rows[0][0]}: constituents header must be "
-            f"'date,id,return,market_cap', got {','.join(header)!r}"
-        )
-    records: list[ConstituentRecord] = []
-    seen: set[tuple[str, Month]] = set()
-    for line_no, cells in rows[1:]:
-        if len(cells) != 4:
-            raise ParseError(f"line {line_no}: expected 4 cells, got {len(cells)}")
-        month = _parse_month(cells[0], line_no)
-        asset_id = cells[1]
-        if not asset_id:
-            raise ParseError(f"line {line_no}: empty constituent id")
-        if (asset_id, month) in seen:
+    with _reading(path) as (header_line, header, rows):
+        if header != ["date", "id", "return", "market_cap"]:
             raise ParseError(
-                f"line {line_no}: duplicate row for constituent {asset_id!r} "
-                f"at {month}"
+                f"line {header_line}: constituents header must be "
+                f"'date,id,return,market_cap', got {','.join(header)!r}"
             )
-        seen.add((asset_id, month))
-        ret = _parse_value(cells[2], line_no, "return")
-        cap = _parse_value(cells[3], line_no, "market_cap")
-        try:
-            records.append(ConstituentRecord(asset_id, month, ret, cap))
-        except ValidationError as exc:
-            raise ParseError(f"line {line_no}: {exc}") from exc
+        records: list[ConstituentRecord] = []
+        seen: set[tuple[str, Month]] = set()
+        for line_no, cells in rows:
+            if len(cells) != 4:
+                raise ParseError(f"line {line_no}: expected 4 cells, got {len(cells)}")
+            month = _parse_month(cells[0], line_no)
+            asset_id = cells[1]
+            if not asset_id:
+                raise ParseError(f"line {line_no}: empty constituent id")
+            if (asset_id, month) in seen:
+                raise ParseError(
+                    f"line {line_no}: duplicate row for constituent {asset_id!r} "
+                    f"at {month}"
+                )
+            seen.add((asset_id, month))
+            ret = _parse_value(cells[2], line_no, "return")
+            cap = _parse_value(cells[3], line_no, "market_cap")
+            try:
+                records.append(ConstituentRecord(asset_id, month, ret, cap))
+            except ValidationError as exc:
+                raise ParseError(f"line {line_no}: {exc}") from exc
     if not records:
         raise ParseError(f"{path}: no data rows")
     return records

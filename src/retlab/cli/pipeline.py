@@ -257,8 +257,13 @@ def _stage_pca(ws: Workspace, config: RunConfig, out_dir: Path):
 
     reg_rows = []
     reg_params = {}
+    errors: list[str] = []
     for label in ws.panel.labels:
-        reg = factor_regression(ws.panel.select(label), result.scores, config.n_factors)
+        try:
+            reg = factor_regression(ws.panel.select(label), result.scores, config.n_factors)
+        except RetlabError as exc:
+            errors.append(f"{label}: {exc}")
+            continue
         reg_rows.append([
             label, reg.k, reg.coefficients[0], reg.loadings_on_pc1,
             reg.loadings_on_pc2, reg.r_square, reg.adj_r_square,
@@ -281,7 +286,7 @@ def _stage_pca(ws: Workspace, config: RunConfig, out_dir: Path):
         "rank_deficient": result.rank_deficient,
         "regressions": reg_params,
     }
-    return artifacts, params, []
+    return artifacts, params, errors
 
 
 def _stage_unitroot(ws: Workspace, config: RunConfig, out_dir: Path):

@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import pytest
 import retlab
 from retlab import risk
 from retlab.cli import ingest, ingest_constituents, ingest_long, ingest_wide, pipeline
+from retlab.cli import io as cli_io
 from retlab.cli.config import load_config
 from retlab.cli.io import write_csv, write_panel
 from retlab.cli.main import main
@@ -104,6 +106,24 @@ class TestIngestWide:
         with pytest.raises(ParseError, match="header"):
             ingest_wide(path)
 
+    def test_file_closes_before_a_mid_file_error_propagates(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.csv"
+        write_lines(path, ["date,x", "2001-01,1.0", "2001-02,oops", "2001-03,3.0"])
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(cli_io, "open", recording_open, raising=False)
+        try:
+            ingest_wide(path)
+        except ParseError:
+            # the traceback, which holds the reader's frames, is alive here
+            assert len(handles) == 1 and handles[0].closed
+        else:
+            pytest.fail("the malformed row was accepted")
+
 
 class TestIngestLong:
     def test_out_of_order_equals_sorted(self, tmp_path):
@@ -170,6 +190,32 @@ class TestIngestLong:
         write_lines(path, ["date,series,value", "2003-01,a,"])
         with pytest.raises(GapError, match="line 2"):
             ingest_long(path)
+
+    def test_peak_memory_stays_near_the_file_size(self, tmp_path):
+        # the rows are parsed as they are read: no copy of the whole file
+        # as text cells is held next to the parsed values
+        rng = np.random.default_rng(3)
+        path = tmp_path / "l.csv"
+        start = Month.parse("1600-01")
+        write_lines(path, ["date,series,value"] + [
+            f"{start + t},S{j},{value!r}"
+            for t in range(5000)
+            for j, value in enumerate(rng.standard_normal(6).tolist())
+        ])
+        size = path.stat().st_size
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            panel = ingest_long(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert panel.values.shape == (5000, 6)
+        assert peak <= 5 * size, f"peak {peak / size:.2f}x the file size"
 
 
 class TestIngestConstituents:
@@ -536,6 +582,37 @@ class TestBundledDataset:
         assert all(s["status"] == "ok" for s in summary["stages"])
         assert summary["panel"] == ["REIT", "HOUSE", "PORT"]
 
+    def test_report_ignores_row_order_and_layout(self, tmp_path, monkeypatch):
+        lines = (DEMO_DIR / "demo_returns.csv").read_text(encoding="utf-8").splitlines()
+        header, rows = lines[0].split(","), lines[1:]
+        long_rows = [
+            f"{cells[0]},{label},{cell}"
+            for cells in (row.split(",") for row in rows)
+            for label, cell in zip(header[1:], cells[1:])
+        ]
+        rng = np.random.default_rng(12)
+        inputs = {
+            "wide": ("wide", lines),
+            "shuffled": ("wide", [lines[0]] + list(rng.permutation(rows))),
+            "long": ("long", ["date,series,value"] + list(rng.permutation(long_rows))),
+        }
+        config = (DEMO_DIR / "demo.cfg").read_text(encoding="utf-8")
+        outputs = {}
+        for name, (layout, text) in inputs.items():
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            shutil.copy(DEMO_DIR / "demo_constituents.csv", run_dir)
+            write_lines(run_dir / "demo_returns.csv", text)
+            (run_dir / "demo.cfg").write_text(
+                config.replace("layout = wide", f"layout = {layout}"), encoding="utf-8"
+            )
+            monkeypatch.chdir(run_dir)
+            assert main(["report", "demo.cfg"]) == 0
+            outputs[name] = {p.name: p.read_bytes() for p in (run_dir / "out").iterdir()}
+        assert "summary.json" in outputs["wide"]
+        assert outputs["shuffled"] == outputs["wide"]
+        assert outputs["long"] == outputs["wide"]
+
 
 def count_forks(monkeypatch, warn=False):
     """Record each ``os.fork`` call; with `warn`, first issue the
@@ -694,6 +771,14 @@ class TestRiskWorkers:
         rows = files["risk.csv"].decode().splitlines()[1:]
         residual_jobs = {row.split(",")[0] for row in rows if row.split(",")[1] == "residuals"}
         assert residual_jobs == {"A", "B"}
+
+        status, files = run_with_workers(monkeypatch, "pca", cfg, tmp_path / "pca", 1)
+        assert status == 1
+        summary = json.loads(files["summary.json"])
+        assert summary["stages"][1]["error"] == "K: series 'K' is constant; R^2 undefined"
+        assert list(summary["parameters"]["pca"]["regressions"]) == ["A", "B"]
+        rows = files["factor_regressions.csv"].decode().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["A", "B"]
 
     def test_fork_warning_stays_out_of_the_manifest(self, tmp_path, monkeypatch):
         cfg = DEMO_DIR / "demo.cfg"
