@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -244,8 +245,9 @@ def full_precision(value) -> str:
     return _CELL_FORMATS[type(value)](value)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> list[str]:
-    """Emit a full-precision CSV with LF line endings.
+def write_csv(path: Path, header: list[str], rows: Iterable[list]) -> list[str]:
+    """Emit a full-precision CSV with LF line endings; `rows` may be a
+    generator, each row made as it is written.
 
     Returns the artifact file names.
     """

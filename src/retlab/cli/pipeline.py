@@ -14,14 +14,13 @@ the status but appear in the manifest.
 from __future__ import annotations
 
 import json
-import os
-import sys
 import warnings
 from dataclasses import astuple, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .. import workers
 from ..descstats import correlogram, cross_sectional_summary, describe
 from ..distfit import GarchFit, GpdFit, MixtureFit, mixture_pdf
 from ..errors import RetlabError, ValidationError
@@ -329,7 +328,7 @@ def _risk_job(job):
     Returns ``(report, warnings, error)``: `warnings` is the list of
     ``(category, message)`` pairs the fits raised, in order, and exactly
     one of `report` and `error` (the `RetlabError` text) is None. Runs in
-    a pool worker or in the stage's own process.
+    a forked worker (`retlab.workers`) or in the stage's own process.
     """
     s, risk_config = job
     with warnings.catch_warnings(record=True) as caught:
@@ -341,57 +340,15 @@ def _risk_job(job):
     return report, [(w.category, str(w.message)) for w in caught], error
 
 
-def _risk_workers(n_jobs: int) -> int:
-    """Worker processes for the risk jobs: one per usable CPU, at most
-    one per job."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(n_jobs, cpus)
-
-
-def _map_risk_jobs(jobs: list) -> list:
-    """`_risk_job` over `jobs`, in job order.
-
-    The jobs run in forked workers when more than one CPU is usable;
-    fork, not spawn, so that a worker does not import scipy again. Every
-    worker is joined before this returns, so their CPU time counts in the
-    caller's ``RUSAGE_CHILDREN`` and no process outlives the stage.
-    """
-    workers = _risk_workers(len(jobs))
-    if workers > 1:
-        # imported here, so that commands without a risk stage do not pay
-        # for them in start-up time and memory
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            # a forked child flushes the std streams when it exits: empty
-            # them first so the parent's buffered output is not written twice
-            sys.stdout.flush()
-            sys.stderr.flush()
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                with warnings.catch_warnings():
-                    # Python >= 3.12 warns on forking a process that runs
-                    # threads (BLAS); the workers fork inside map, and the
-                    # warning is not the stage's
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    results = pool.map(_risk_job, jobs)
-                return list(results)
-    return list(map(_risk_job, jobs))
-
-
 def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
     artifacts: list[str] = []
     params: dict = {}
     errors: list[str] = []
     jobs, sweep_errors = risk_jobs(_targets(ws), ws.panel, config.n_factors)
-    results = _map_risk_jobs([(s, config.risk) for s, _ in jobs])
+    results = workers.map_jobs(_risk_job, [(s, config.risk) for s, _ in jobs])
 
     rows = []
-    vol_rows = []
+    volatility = []  # (label, grid, conditional sds) per raw-return GARCH fit
     density_rows = []
     for (s, basis), (report, caught, error) in zip(jobs, results):
         for category, message in caught:
@@ -409,10 +366,7 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
             continue
         if report.garch is not None:
             sds = np.sqrt(report.garch.conditional_variance_path)
-            vol_rows += [
-                [month, s.label, sd]
-                for month, sd in zip(s.grid.labels(), sds.tolist())
-            ]
+            volatility.append((s.label, s.grid, sds))
         if report.mixture is not None:
             grid = np.linspace(s.values.min(), s.values.max(), 201)
             mix = mixture_pdf(report.mixture, -grid)  # fitted on losses
@@ -428,6 +382,14 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
         out_dir, "risk", "Loss fractiles and average losses by model",
         ["series", "basis", "model", "fractile", "loss", "average_loss", "note"],
         rows,
+    )
+    # the series mostly share one grid: label its months once, and make
+    # the rows as the file is written
+    months = {grid: grid.labels() for grid in {grid for _, grid, _ in volatility}}
+    vol_rows = (
+        [month, label, sd]
+        for label, grid, sds in volatility
+        for month, sd in zip(months[grid], sds.tolist())
     )
     artifacts += write_csv(
         out_dir / "fig_conditional_volatility.csv",

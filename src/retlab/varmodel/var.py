@@ -20,6 +20,7 @@ import numpy as np
 from scipy.linalg import qr
 from scipy.stats import f as f_dist
 
+from .. import workers
 from ..errors import (
     AlignmentError,
     DecompositionError,
@@ -520,8 +521,12 @@ def irf(
     Replicate r draws from its own generator, seeded by child r of
     ``SeedSequence(seed).spawn(n_boot)``. Replicates run in blocks of
     ``_BOOT_BLOCK``, which bounds the working set beside the
-    (n_boot, h+1, k, k) deviation array; the bands equal, bit for bit,
-    those of running the replicates one at a time.
+    (n_boot, h+1, k, k) deviation array. With more than one block and
+    more than one usable CPU, forked workers (`retlab.workers`) share
+    the blocks, writing their deviations into that array in shared
+    memory, then take the band's quantile over shares of its cells. The
+    bands equal, bit for bit, those of running the replicates one at a
+    time, whatever the number of workers.
 
     Raises:
         ValidationError: h < 0, bad ordering, or coverage outside (0,1).
@@ -538,15 +543,31 @@ def irf(
     point = _orthogonal_responses(fit.coeff, fit.residual_cov, perm, h)
     lower = upper = None
     if n_boot > 0:
-        deviations = np.empty((n_boot, h + 1, k, k))
         children = np.random.SeedSequence(seed).spawn(n_boot)
-        for lo in range(0, n_boot, _BOOT_BLOCK):
+        blocks = range(0, n_boot, _BOOT_BLOCK)
+        shards = workers.count(len(blocks))
+        # forked workers write into shared memory; one process needs none
+        empty = workers.shared_empty if shards > 1 else np.empty
+        deviations = empty((n_boot, h + 1, k, k))
+        band = empty((h + 1, k, k))
+
+        def deviate(lo):
             block = slice(lo, lo + _BOOT_BLOCK)
             coeff, sigma = _bootstrap_fits(fit, children[block])
             thetas = _orthogonal_responses(coeff, sigma, perm, h)
             out = deviations[block]
             np.abs(np.subtract(thetas, point, out=out), out=out)
-        band = np.quantile(deviations, coverage, axis=0, overwrite_input=True)
+
+        def take_quantile(cells):
+            # each cell's quantile reads only that cell's deviations
+            band.reshape(-1)[cells] = np.quantile(
+                deviations.reshape(n_boot, -1)[:, cells], coverage, axis=0,
+                overwrite_input=True,
+            )
+
+        workers.map_jobs(deviate, blocks)
+        edges = np.linspace(0, band.size, shards + 1).astype(int).tolist()
+        workers.map_jobs(take_quantile, map(slice, edges[:-1], edges[1:]))
         lower = point - band
         upper = point + band
         for arr in (lower, upper):

@@ -636,19 +636,17 @@ def count_forks(monkeypatch, warn=False):
 
 
 def run_with_workers(monkeypatch, command, config_path, out_dir, workers):
-    """Run `command` with at most `workers` risk workers; its exit status
-    and every output file's bytes."""
-    monkeypatch.setattr(
-        pipeline, "_risk_workers", lambda n_jobs: min(n_jobs, workers)
-    )
-    map_jobs = pipeline._map_risk_jobs
+    """Run `command` with `workers` usable CPUs, so at most that many
+    worker processes; its exit status and every output file's bytes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    map_jobs = retlab.workers.map_jobs
 
-    def map_jobs_then_check(jobs):
-        results = map_jobs(jobs)
-        assert multiprocessing.active_children() == [], "a risk worker outlived the map"
+    def map_jobs_then_check(func, jobs):
+        results = map_jobs(func, jobs)
+        assert multiprocessing.active_children() == [], "a worker outlived the map"
         return results
 
-    monkeypatch.setattr(pipeline, "_map_risk_jobs", map_jobs_then_check)
+    monkeypatch.setattr(retlab.workers, "map_jobs", map_jobs_then_check)
     config = dataclasses.replace(load_config(config_path), output_dir=out_dir)
     status = pipeline.run(command, config)
     return status, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
@@ -675,8 +673,9 @@ def write_failing_risk_config(tmp_path):
 
 
 class TestRiskWorkers:
-    """The risk stage fits its jobs in forked workers when more than one
-    CPU is usable; no output byte may depend on it."""
+    """The risk stage fits its jobs, and the IRF bootstrap its replicate
+    blocks, in forked workers when more than one CPU is usable; no output
+    byte may depend on it."""
 
     def test_demo_report_identical_with_one_and_two_workers(self, tmp_path, monkeypatch):
         forks = count_forks(monkeypatch)
@@ -684,7 +683,9 @@ class TestRiskWorkers:
         serial = run_with_workers(monkeypatch, "report", cfg, tmp_path / "one", 1)
         assert forks == []
         pooled = run_with_workers(monkeypatch, "report", cfg, tmp_path / "two", 2)
-        assert len(forks) == 2
+        # two for the risk jobs, two for the 400 bootstrap replicates and
+        # two for the band's quantiles
+        assert len(forks) == 6
         assert serial[0] == pooled[0] == 0
         assert "summary.json" in serial[1]
         assert serial[1].keys() == pooled[1].keys()

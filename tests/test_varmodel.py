@@ -1,6 +1,7 @@
 """Unit-root tests and VAR estimation, forecasting, IRF, and FEVD."""
 
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -524,6 +525,11 @@ class TestIrf:
             irf(degenerate, 2, n_boot=0)
 
 
+def use_cpus(monkeypatch, cpus):
+    """Make `cpus` CPUs usable, so irf runs on at most that many workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
 def loop_bootstrap_bands(fit, h, ordering, n_boot, seed, coverage=0.95):
     """Reference bootstrap bands: one replicate at a time, each with its
     own SeedSequence child. irf's blocked replicates must match it bit
@@ -600,7 +606,7 @@ def wide_var_sample(seed, n, k):
 class TestIrfBootstrapBatching:
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     @pytest.mark.parametrize("panel_kind", ["k3", "k12"])
-    def test_bands_match_one_replicate_at_a_time(self, panel_kind, p):
+    def test_bands_match_one_replicate_at_a_time(self, panel_kind, p, monkeypatch):
         if panel_kind == "k3":
             panel = var_sample(
                 276, 240, [[[0.4, 0.1, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.2]]],
@@ -611,31 +617,38 @@ class TestIrfBootstrapBatching:
         fit = fit_var(panel, p)
         k = fit.width
         for ordering in (tuple(range(k)), tuple(reversed(range(k)))):
-            for n_boot in (1, _BOOT_BLOCK, _BOOT_BLOCK + 1):
+            # the last: blocks shared among workers, and a ragged tail
+            for n_boot in (1, _BOOT_BLOCK, _BOOT_BLOCK + 1, 3 * _BOOT_BLOCK + 5):
                 lower, upper = loop_bootstrap_bands(fit, 6, ordering, n_boot, 31)
-                result = irf(fit, 6, ordering=ordering, n_boot=n_boot, seed=31)
-                assert np.array_equal(result.lower, lower), (ordering, n_boot)
-                assert np.array_equal(result.upper, upper), (ordering, n_boot)
+                for cpus in (1, 2):
+                    use_cpus(monkeypatch, cpus)
+                    result = irf(fit, 6, ordering=ordering, n_boot=n_boot, seed=31)
+                    where = (ordering, n_boot, cpus)
+                    assert np.array_equal(result.lower, lower), where
+                    assert np.array_equal(result.upper, upper), where
 
-    def test_peak_memory_stays_near_the_deviation_array(self):
+    def test_peak_memory_stays_near_the_deviation_array(self, monkeypatch):
         # the (n_boot, h+1, k, k) deviations are the one array the band
         # needs whole; the blocked replicates and the in-place quantile
-        # keep everything else well under it
+        # keep everything else well under it. With workers the array is
+        # in shared memory, which the parent does not allocate.
         fit = fit_var(wide_var_sample(278, 600, 30), 1)
         h, n_boot = 24, 400
         slab = n_boot * (h + 1) * fit.width**2 * 8
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            irf(fit, h, n_boot=n_boot, seed=5)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            tracing = tracemalloc.is_tracing()
             if not tracing:
-                tracemalloc.stop()
-        assert peak <= 1.75 * slab, f"peak {peak / slab:.2f}x the deviation array"
+                tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                irf(fit, h, n_boot=n_boot, seed=5)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+            assert peak <= 1.75 * slab, f"{cpus} CPU(s): peak {peak / slab:.2f}x the deviation array"
 
 
 class TestFevd:
