@@ -345,7 +345,7 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
     params: dict = {}
     errors: list[str] = []
     jobs, sweep_errors = risk_jobs(_targets(ws), ws.panel, config.n_factors)
-    results = workers.map_jobs(_risk_job, [(s, config.risk) for s, _ in jobs])
+    [results] = workers.map_phases((_risk_job, [(s, config.risk) for s, _ in jobs]))
 
     rows = []
     volatility = []  # (label, grid, conditional sds) per raw-return GARCH fit

@@ -524,7 +524,8 @@ def irf(
     (n_boot, h+1, k, k) deviation array. With more than one block and
     more than one usable CPU, forked workers (`retlab.workers`) share
     the blocks, writing their deviations into that array in shared
-    memory, then take the band's quantile over shares of its cells. The
+    memory, then the same workers take the band's quantile over shares
+    of its cells. The
     bands equal, bit for bit, those of running the replicates one at a
     time, whatever the number of workers.
 
@@ -565,9 +566,10 @@ def irf(
                 overwrite_input=True,
             )
 
-        workers.map_jobs(deviate, blocks)
         edges = np.linspace(0, band.size, shards + 1).astype(int).tolist()
-        workers.map_jobs(take_quantile, map(slice, edges[:-1], edges[1:]))
+        workers.map_phases(
+            (deviate, blocks), (take_quantile, map(slice, edges[:-1], edges[1:]))
+        )
         lower = point - band
         upper = point + band
         for arr in (lower, upper):

@@ -1,21 +1,21 @@
 """Forked worker processes for the stages that split their work.
 
-`map_jobs` runs a function over a list of jobs, in forked workers when
+`map_phases` runs functions over lists of jobs, in forked workers when
 more than one CPU is usable and in the caller's process otherwise;
 `shared_empty` makes an array that forked workers write into and their
 parent reads, without pickling it.
 
 Each worker stands for one CPU, so the jobs run on one BLAS thread,
 serial runs too: the OpenBLAS copies that numpy and scipy load are set
-to one thread for the length of a map, then set back. Threads beyond
+to one thread for the length of a call, then set back. Threads beyond
 one per CPU would oversubscribe the CPUs, and OpenBLAS threads spin
 while they wait, so they would take the CPUs from the workers. With one
 thread in every run, no result depends on the number of workers.
 
 The workers are forked, not spawned: a worker neither imports the
-package again nor receives the function and its jobs through a pipe. It
-finds both in its copy of the parent's memory, so the function may be a
-closure over arrays that only job indices and results cross.
+package again nor receives the functions and jobs through a pipe. It
+finds them in its copy of the parent's memory, so a function may be a
+closure over arrays; only job indices and results cross.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-# the function and jobs of the map in progress, for its forked workers
+# the phases of the call in progress, for its forked workers
 _task = None
 
 # (setter, getter) of the thread count in each OpenBLAS build: plain,
@@ -92,28 +92,33 @@ def _one_blas_thread():
             setter(threads)
 
 
-def _run(index: int):
-    func, jobs = _task
+def _run(job: tuple[int, int]):
+    phase, index = job
+    func, jobs = _task[phase]
     return func(jobs[index])
 
 
-def map_jobs(func, jobs) -> list:
-    """``[func(job) for job in jobs]``, run on `count(len(jobs))` workers,
-    each on one BLAS thread.
+def map_phases(*phases) -> list[list]:
+    """``[func(job) for job in jobs]`` for each phase ``(func, jobs)``, in
+    order, on `count` workers for the longest phase, each on one BLAS
+    thread.
 
-    An exception raised by `func` reaches the caller. Every worker is
-    joined before this returns or raises, so their CPU time counts in
-    the caller's ``RUSAGE_CHILDREN`` and no process outlives the map.
+    The phases share one set of workers, forked once; a phase starts when
+    the one before it has finished, so its jobs may read what the earlier
+    ones wrote to `shared_empty` arrays. An exception raised by a `func`
+    reaches the caller. Every worker is joined before this returns or
+    raises, so their CPU time counts in the caller's ``RUSAGE_CHILDREN``
+    and no process outlives the call.
     """
-    jobs = list(jobs)
-    workers = count(len(jobs))
+    phases = [(func, list(jobs)) for func, jobs in phases]
+    workers = count(max(len(jobs) for _, jobs in phases))
     with _one_blas_thread():
         if workers == 1:
-            return [func(job) for job in jobs]
-        return _fork_map(func, jobs, workers)
+            return [[func(job) for job in jobs] for func, jobs in phases]
+        return _fork_map(phases, workers)
 
 
-def _fork_map(func, jobs: list, workers: int) -> list:
+def _fork_map(phases: list, workers: int) -> list[list]:
     global _task
     # imported here, so that runs that never start a pool do not pay for
     # them in start-up time and memory
@@ -124,17 +129,19 @@ def _fork_map(func, jobs: list, workers: int) -> list:
     # first so the parent's buffered output is not written twice
     sys.stdout.flush()
     sys.stderr.flush()
-    _task = (func, jobs)
+    _task = phases
     try:
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
             with warnings.catch_warnings():
                 # Python >= 3.12 warns on forking a process that runs
-                # threads (BLAS); the workers fork inside map, and the
-                # warning is not the caller's
+                # threads (BLAS); the workers fork inside the first map,
+                # and the warning is not the caller's
                 warnings.simplefilter("ignore", DeprecationWarning)
-                results = pool.map(_run, range(len(jobs)))
-            return list(results)
+                return [
+                    list(pool.map(_run, [(phase, i) for i in range(len(jobs))]))
+                    for phase, (_, jobs) in enumerate(phases)
+                ]
     finally:
         _task = None
 

@@ -639,14 +639,14 @@ def run_with_workers(monkeypatch, command, config_path, out_dir, workers):
     """Run `command` with `workers` usable CPUs, so at most that many
     worker processes; its exit status and every output file's bytes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
-    map_jobs = retlab.workers.map_jobs
+    map_phases = retlab.workers.map_phases
 
-    def map_jobs_then_check(func, jobs):
-        results = map_jobs(func, jobs)
+    def map_phases_then_check(*phases):
+        results = map_phases(*phases)
         assert multiprocessing.active_children() == [], "a worker outlived the map"
         return results
 
-    monkeypatch.setattr(retlab.workers, "map_jobs", map_jobs_then_check)
+    monkeypatch.setattr(retlab.workers, "map_phases", map_phases_then_check)
     config = dataclasses.replace(load_config(config_path), output_dir=out_dir)
     status = pipeline.run(command, config)
     return status, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
@@ -683,9 +683,8 @@ class TestRiskWorkers:
         serial = run_with_workers(monkeypatch, "report", cfg, tmp_path / "one", 1)
         assert forks == []
         pooled = run_with_workers(monkeypatch, "report", cfg, tmp_path / "two", 2)
-        # two for the risk jobs, two for the 400 bootstrap replicates and
-        # two for the band's quantiles
-        assert len(forks) == 6
+        # two for the risk jobs, two for the IRF bootstrap
+        assert len(forks) == 4
         assert serial[0] == pooled[0] == 0
         assert "summary.json" in serial[1]
         assert serial[1].keys() == pooled[1].keys()

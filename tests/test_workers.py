@@ -33,19 +33,19 @@ class TestCount:
         assert workers.count(8) == 1
 
 
-class TestMapJobs:
+class TestMapPhases:
     def test_results_come_back_in_job_order(self, monkeypatch):
         use_cpus(monkeypatch, 2)
-        results = workers.map_jobs(slow_in_reverse, range(5))
+        results = workers.map_phases((slow_in_reverse, range(5)))[0]
         assert [value for value, _ in results] == [0, 1, 4, 9, 16]
         assert os.getpid() not in {pid for _, pid in results}
         assert multiprocessing.active_children() == []
 
     def test_one_cpu_runs_in_the_caller_with_the_same_results(self, monkeypatch):
         use_cpus(monkeypatch, 2)
-        pooled = workers.map_jobs(slow_in_reverse, range(5))
+        pooled = workers.map_phases((slow_in_reverse, range(5)))[0]
         use_cpus(monkeypatch, 1)
-        serial = workers.map_jobs(slow_in_reverse, range(5))
+        serial = workers.map_phases((slow_in_reverse, range(5)))[0]
         assert [value for value, _ in serial] == [value for value, _ in pooled]
         assert {pid for _, pid in serial} == {os.getpid()}
 
@@ -59,18 +59,32 @@ class TestMapJobs:
             return job
 
         with pytest.raises(ValidationError, match="job 3 is bad"):
-            workers.map_jobs(fail_on_three, range(6))
+            workers.map_phases((fail_on_three, range(6)))
         assert multiprocessing.active_children() == []
 
-    def test_worker_writes_to_a_shared_array_reach_the_parent(self, monkeypatch):
+    def test_later_phases_see_shared_writes_on_the_same_workers(self, monkeypatch):
         use_cpus(monkeypatch, 2)
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
         shared = workers.shared_empty((4, 3))
 
-        def fill_row(row):  # a closure: a pool that pickled it would fail
+        def fill_row(row):  # closures: a pool that pickled them would fail
             shared[row] = row
             return os.getppid()
 
-        assert set(workers.map_jobs(fill_row, range(4))) == {os.getpid()}
+        def row_sum(row):
+            return float(shared[row].sum())
+
+        parents, sums = workers.map_phases((fill_row, range(4)), (row_sum, range(4)))
+        assert set(parents) == {os.getpid()}
+        assert sums == [0.0, 3.0, 6.0, 9.0]
+        assert len(forks) == 2
         np.testing.assert_array_equal(shared, np.arange(4.0)[:, None] * np.ones(3))
 
     def test_no_pool_modules_at_start_up(self):
@@ -98,5 +112,5 @@ class TestMapJobs:
         def blas_threads(job):
             return [getter() for _, getter in workers._loaded_openblas()]
 
-        assert workers.map_jobs(blas_threads, range(2)) == [[1] * len(threads)] * 2
+        assert workers.map_phases((blas_threads, range(2))) == [[[1] * len(threads)] * 2]
         assert [getter() for _, getter in workers._loaded_openblas()] == threads
