@@ -648,7 +648,8 @@ class TestIrfBootstrapBatching:
             finally:
                 if not tracing:
                     tracemalloc.stop()
-            assert peak <= 1.75 * slab, f"{cpus} CPU(s): peak {peak / slab:.2f}x the deviation array"
+            ratio = peak / slab
+            assert ratio <= 1.75, f"{cpus} CPU(s): peak {ratio:.2f}x the deviation array"
 
 
 class TestFevd:
