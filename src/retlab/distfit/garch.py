@@ -15,14 +15,17 @@ an unconstrained reparameterization, never by clipping.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.optimize import minimize
-from scipy.signal import lfilter
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from ..errors import (
     DegenerateVarianceError,
@@ -34,6 +37,33 @@ from ..series import ReturnSeries
 _LOG_2PI = math.log(2.0 * math.pi)
 _PERSISTENCE_CAP = 1.0 - 1e-6  # alpha + beta stays strictly below 1
 _INTEGRATED_WARN = 0.999
+
+
+def _load_linear_filter():
+    """`_linear_filter`, the compiled IIR filter that `scipy.signal.lfilter`
+    ends in, loaded from its extension file. Importing `scipy.signal`
+    would run its package init, which imports `scipy.stats`,
+    `interpolate`, `ndimage` and more, for this one loop."""
+    directory = str(Path(scipy.__file__).parent / "signal")
+    spec = importlib.machinery.PathFinder.find_spec("_sigtools", [directory])
+    if spec is None:
+        raise ImportError(
+            f"scipy {scipy.__version__} has no signal/_sigtools extension"
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    try:
+        return module._linear_filter
+    except AttributeError:
+        raise ImportError(
+            f"scipy {scipy.__version__}'s signal/_sigtools has no _linear_filter"
+        ) from None
+
+
+# _linear_filter(b, a, x, axis[, zi]) is lfilter(b, a, x, axis[, zi])
+# without lfilter's argument checks
+_linear_filter = _load_linear_filter()
+_ONE = np.ones(1)
 
 
 @dataclass(frozen=True)
@@ -86,7 +116,7 @@ class _Workspace:
     one series and one h1, reused by every evaluation of a fit.
 
     Each evaluation fills the buffers with `out=` ufuncs; only the two
-    `lfilter` calls allocate. The gradient is the adjoint of the variance
+    filter calls allocate. The gradient is the adjoint of the variance
     recursion: with c_t = d ll / d h_t, the backward filter
     lambda_t = c_t + beta * lambda_{t+1} gives d ll / d theta as
     sum_t lambda_t * (the direct derivative of h_t in theta), that is
@@ -113,8 +143,8 @@ class _Workspace:
         drive = self.scratch[1:]
         np.multiply(eps_sq[:-1], alpha, out=drive)
         drive += omega
-        h[1:] = lfilter(
-            [1.0], [1.0, -beta], drive, zi=np.array([beta * self.h1])
+        h[1:] = _linear_filter(
+            _ONE, np.array([1.0, -beta]), drive, -1, np.array([beta * self.h1])
         )[0]
         return h
 
@@ -143,7 +173,7 @@ class _Workspace:
         c = np.subtract(ratio, 1.0, out=scratch)
         c *= inv_h
         c *= 0.5
-        lam = lfilter([1.0], [1.0, -beta], c[:0:-1])[::-1]
+        lam = _linear_filter(_ONE, np.array([1.0, -beta]), c[:0:-1], -1)[::-1]
         g_mu = float(eps @ inv_h) - 2.0 * alpha * float(lam @ eps[:-1])
         g_omega = float(lam.sum())
         g_alpha = float(lam @ eps_sq[:-1])
@@ -349,6 +379,6 @@ def arch_lm_test(s: ReturnSeries, lags: int = 12) -> ArchLmResult:
     return ArchLmResult(
         lags=lags,
         statistic=statistic,
-        p_value=float(chi2.sf(statistic, lags)),
+        p_value=float(chdtrc(lags, statistic)),
         n_obs=m,
     )

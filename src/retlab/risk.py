@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .distfit import (
     GarchFit,
@@ -131,6 +131,14 @@ class RiskReport:
         raise KeyError(f"no cell for {model!r} at {fractile}")
 
 
+def _norm_pdf(z) -> np.ndarray:
+    """Standard normal density by `scipy.stats.norm.pdf`'s own expression,
+    on an array as there: numpy squares a scalar through `pow`, which can
+    differ from an array's square in the last bit."""
+    z = np.atleast_1d(z)
+    return np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
+
+
 def _mixture_fractile(fit: MixtureFit, p: float) -> float:
     lo = float(np.min(fit.means - 40.0 * fit.sds))
     hi = float(np.max(fit.means + 40.0 * fit.sds))
@@ -144,9 +152,9 @@ def _mixture_fractile(fit: MixtureFit, p: float) -> float:
 def _mixture_average_loss(fit: MixtureFit, p: float) -> float:
     v = _mixture_fractile(fit, p)
     z = (v - fit.means) / fit.sds
-    upper = norm.sf(z)
+    upper = ndtr(-z)
     # E[X 1{X>v}] per component, then normalize by the actual tail mass
-    partial = float(np.sum(fit.weights * (fit.means * upper + fit.sds * norm.pdf(z))))
+    partial = float(np.sum(fit.weights * (fit.means * upper + fit.sds * _norm_pdf(z))))
     tail = float(np.sum(fit.weights * upper))
     return partial / tail
 
@@ -182,12 +190,12 @@ def _garch_sigma(fit: GarchFit, conditioning: str) -> float:
 
 
 def _garch_fractile(fit: GarchFit, p: float, conditioning: str) -> float:
-    return fit.mu + _garch_sigma(fit, conditioning) * norm.ppf(p)
+    return fit.mu + _garch_sigma(fit, conditioning) * ndtri(p)
 
 
 def _garch_average_loss(fit: GarchFit, p: float, conditioning: str) -> float:
-    z = norm.ppf(p)
-    return fit.mu + _garch_sigma(fit, conditioning) * norm.pdf(z) / (1.0 - p)
+    pdf = _norm_pdf(ndtri(p))[0]
+    return fit.mu + _garch_sigma(fit, conditioning) * pdf / (1.0 - p)
 
 
 # model type -> (loss fractile, average loss)

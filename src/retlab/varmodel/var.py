@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr
-from scipy.stats import f as f_dist
+from scipy.special import fdtrc
 
 from .. import workers
 from ..errors import (
@@ -355,7 +355,7 @@ def granger_causality(fit: VarFit) -> GrangerResult:
     np.fill_diagonal(f_stats, np.nan)
     off = ~np.eye(k, dtype=bool)
     p_values = np.full((k, k), np.nan)
-    p_values[off] = f_dist.sf(f_stats[off], p, dof)
+    p_values[off] = fdtrc(p, dof, f_stats[off])
     for arr in (f_stats, p_values):
         arr.flags.writeable = False
     return GrangerResult(

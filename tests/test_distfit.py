@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.signal import lfilter
 from scipy.stats import chi2
 
 from retlab.distfit import (
@@ -399,8 +400,6 @@ class TestGarchLoglike:
         """The workspace takes the gradient from one backward (adjoint)
         filter; the oracle runs one forward derivative recursion per
         parameter and sums each against c_t = d ll / d h_t."""
-        from scipy.signal import lfilter
-
         from retlab.distfit.garch import _Workspace
 
         for seed, n, params in [
@@ -426,6 +425,25 @@ class TestGarchLoglike:
                 np.abs(grad - expected), 1e-12 * np.maximum(1.0, np.abs(expected)),
                 err_msg=f"seed {seed}, n {n}",
             )
+
+    @pytest.mark.parametrize("n", [2, 360, 20_000])
+    def test_filter_is_bit_equal_to_lfilter(self, n):
+        """The workspace calls scipy's compiled filter without `lfilter`'s
+        wrapper, forward with an initial state and backward on a reversed
+        view without one; `lfilter` must give the same bits."""
+        from retlab.distfit.garch import _ONE, _linear_filter
+
+        rng = np.random.default_rng(n)
+        for beta in [0.0, *rng.uniform(0.0, 0.999999, 20)]:
+            x = rng.standard_normal(n)
+            zi = np.array([beta * rng.uniform(0.1, 10.0)])
+            a = np.array([1.0, -beta])
+            forward = _linear_filter(_ONE, a, x, -1, zi)
+            expected = lfilter([1.0], [1.0, -beta], x, zi=zi)
+            assert np.array_equal(forward[0], expected[0])
+            assert np.array_equal(forward[1], expected[1])
+            backward = _linear_filter(_ONE, a, x[:0:-1], -1)[::-1]
+            assert np.array_equal(backward, lfilter([1.0], [1.0, -beta], x[:0:-1])[::-1])
 
     def test_workspace_reuse_leaks_no_state(self):
         from retlab.distfit.garch import _Workspace

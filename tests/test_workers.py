@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,19 @@ import pytest
 
 from retlab import workers
 from retlab.errors import ValidationError
+
+
+def run_fresh(probe, cwd=None):
+    """Stdout of `probe` run in a fresh interpreter that imports the
+    retlab package this suite imported."""
+    package_root = str(Path(workers.__file__).resolve().parents[1])
+    pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def use_cpus(monkeypatch, cpus):
@@ -92,15 +106,24 @@ class TestMapPhases:
             "import sys, retlab.cli.main, retlab.varmodel; "
             "print('multiprocessing' in sys.modules)"
         )
-        # the directory that holds the retlab package this suite imported
-        package_root = str(Path(workers.__file__).resolve().parents[1])
-        pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
-        proc = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
+        assert run_fresh(probe) == "False"
+
+    def test_no_scipy_stats_or_signal_at_start_up_or_after_a_report(self, tmp_path):
+        # a module that only a stage imports would show after the report
+        for name in ("demo.cfg", "demo_returns.csv", "demo_constituents.csv"):
+            (tmp_path / name).write_bytes((resources.files("retlab") / "data" / name).read_bytes())
+        probe = (
+            "import sys\n"
+            "from retlab.cli.main import main\n"
+            "def loaded():\n"
+            "    return sorted({'scipy.stats', 'scipy.signal'} & set(sys.modules))\n"
+            "print(loaded())\n"
+            "status = main(['report', 'demo.cfg'])\n"
+            "print(status, loaded())\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        lines = run_fresh(probe, cwd=tmp_path).splitlines()
+        # the first line is printed before the report's own lines
+        assert (lines[0], lines[-1]) == ("[]", "0 []")
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_jobs_run_on_one_blas_thread(self, monkeypatch, cpus):
