@@ -20,8 +20,6 @@ from collections.abc import Iterable
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from ..errors import GapError, ParseError, ValidationError
 from ..series import (
     ConstituentRecord,
@@ -217,44 +215,20 @@ def ingest(path: Path, layout: str):
     raise ValidationError(f"layout must be one of {LAYOUTS}, got {layout!r}")
 
 
-class _CellFormats(dict):
-    """CSV cell formatters keyed by the cell's exact type. A type not in
-    the table takes the formatter of its nearest base class that is, and
-    is entered under its own type for the next cell."""
-
-    def __missing__(self, kind: type):
-        fmt = next(self[base] for base in kind.__mro__[1:] if base in self)
-        self[kind] = fmt
-        return fmt
-
-
-_CELL_FORMATS = _CellFormats({
-    object: str,
-    type(None): lambda value: "",
-    bool: str,
-    np.bool_: lambda value: str(bool(value)),
-    int: int.__repr__,
-    np.integer: lambda value: str(int(value)),
-    float: float.__repr__,
-    np.floating: lambda value: repr(float(value)),
-})
-
-
-def full_precision(value) -> str:
-    """Shortest decimal string that round-trips the float exactly."""
-    return _CELL_FORMATS[type(value)](value)
-
-
 def write_csv(path: Path, header: list[str], rows: Iterable[list]) -> list[str]:
     """Emit a full-precision CSV with LF line endings; `rows` may be a
     generator, each row made as it is written.
+
+    `csv.writer` writes None as an empty cell and any other cell as its
+    `str`, which for a float (numpy's included) is the shortest decimal
+    that round-trips it exactly.
 
     Returns the artifact file names.
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([full_precision(cell) for cell in row] for row in rows)
+        writer.writerows(rows)
     return [path.name]
 
 

@@ -477,16 +477,18 @@ def _stage_predict(ws: Workspace, config: RunConfig, out_dir: Path):
     )
 
     impulse = irf(fit, config.irf_horizon, n_boot=config.n_boot, seed=config.seed)
-    irf_rows = []
-    for h in range(config.irf_horizon + 1):
-        for i, response in enumerate(impulse.labels):
-            for j, shock in enumerate(impulse.labels):
-                row = [h, response, shock, impulse.responses[h, i, j]]
-                if impulse.lower is not None:
-                    row += [impulse.lower[h, i, j], impulse.upper[h, i, j]]
-                else:
-                    row += [None, None]
-                irf_rows.append(row)
+    if impulse.lower is None:
+        lower = upper = np.full(impulse.responses.shape, None).tolist()
+    else:
+        lower, upper = impulse.lower.tolist(), impulse.upper.tolist()
+    irf_rows = [
+        [h, response, shock, value, low, up]
+        for h, by_response in enumerate(
+            zip(impulse.responses.tolist(), lower, upper)
+        )
+        for response, values, lows, ups in zip(impulse.labels, *by_response)
+        for shock, value, low, up in zip(impulse.labels, values, lows, ups)
+    ]
     artifacts += write_csv(
         out_dir / "fig_irf.csv",
         ["horizon", "response", "shock", "value", "lower", "upper"], irf_rows,
@@ -496,10 +498,10 @@ def _stage_predict(ws: Workspace, config: RunConfig, out_dir: Path):
 
     shares = fevd(fit, config.irf_horizon)
     fevd_rows = [
-        [h, shares.labels[i], shares.labels[j], shares.shares[h, i, j]]
-        for h in range(config.irf_horizon)
-        for i in range(len(shares.labels))
-        for j in range(len(shares.labels))
+        [h, series, shock, share]
+        for h, by_series in enumerate(shares.shares.tolist())
+        for series, by_shock in zip(shares.labels, by_series)
+        for shock, share in zip(shares.labels, by_shock)
     ]
     artifacts += write_csv(
         out_dir / "fig_fevd.csv",

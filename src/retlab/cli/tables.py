@@ -1,7 +1,7 @@
 """Aligned text tables and their CSV twins.
 
 Text tables print every float with exactly 3 fractional digits so diffs
-line up; the CSV twin keeps full precision (see `io.full_precision`).
+line up; the CSV twin keeps full precision (see `io.write_csv`).
 Missing values render as '.' in text and as an empty cell in CSV.
 """
 

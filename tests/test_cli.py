@@ -379,6 +379,20 @@ class TestCommands:
         assert float(row_a[2]) == stats.sd
         assert float(row_a[5]) == stats.jarque_bera
 
+    def test_write_csv_cells_of_every_emitted_type(self, tmp_path):
+        # floats, numpy's included, as their shortest round-trip decimal
+        row = [
+            "REIT", "a,b", 12, 0.1, 1e16, 1e-5, 5e-324, -0.0, float("nan"),
+            True, None, np.float64(1 / 3), np.float64("-inf"), np.int64(-7),
+            np.bool_(False),
+        ]
+        write_csv(tmp_path / "cells.csv", [f"c{i}" for i in range(len(row))], [row])
+        lines = (tmp_path / "cells.csv").read_text().splitlines()
+        assert lines[1] == (
+            'REIT,"a,b",12,0.1,1e+16,1e-05,5e-324,-0.0,nan,'
+            "True,,0.3333333333333333,-inf,-7,False"
+        )
+
     def test_report_is_deterministic(self, tmp_path):
         cfg1 = write_run_config(tmp_path, name="one.cfg", out="out1")
         cfg2 = write_run_config(tmp_path, name="two.cfg", out="out2")
