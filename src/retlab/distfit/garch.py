@@ -60,8 +60,8 @@ def _load_linear_filter():
         ) from None
 
 
-# _linear_filter(b, a, x, axis[, zi]) is lfilter(b, a, x, axis[, zi])
-# without lfilter's argument checks
+# for len(a) > 1, _linear_filter(b, a, x, axis[, zi]) is
+# lfilter(b, a, x, axis[, zi]) without lfilter's argument checks
 _linear_filter = _load_linear_filter()
 _ONE = np.ones(1)
 
