@@ -184,13 +184,34 @@ class FevdResult:
 
 def _design(values: np.ndarray, p: int):
     """Stacked regression for VAR(p): Y rows t = p..n-1, X columns
-    [1, y_{t-1} (all series), ..., y_{t-p} (all series)]."""
-    n, k = values.shape
-    rows = n - p
-    cols = [np.ones(rows)]
+    [1, y_{t-1} (all series), ..., y_{t-p} (all series)]. Leading axes
+    of values (..., n, k) stack independent panels."""
+    *stack, n, k = values.shape
+    design = np.empty((*stack, n - p, k * p + 1))
+    design[..., 0] = 1.0
     for lag in range(1, p + 1):
-        cols.append(values[p - lag : n - lag])
-    return values[p:], np.column_stack(cols)
+        design[..., 1 + (lag - 1) * k : 1 + lag * k] = values[..., p - lag : n - lag, :]
+    return values[..., p:, :], design
+
+
+def _ols(design: np.ndarray, target: np.ndarray):
+    """Normal-equation OLS of target on design: inv(X'X), the
+    coefficients, the residuals and the residual covariance over
+    rows - columns degrees of freedom. A 2-D design fits one model;
+    leading axes stack independent models, each with the same sums as
+    its own 2-D call.
+
+    Raises:
+        numpy.linalg.LinAlgError: some X'X is exactly singular.
+    """
+    design_t = np.swapaxes(design, -1, -2)
+    xtx_inv = np.linalg.inv(design_t @ design)
+    beta = xtx_inv @ (design_t @ target)
+    resid = design @ beta
+    np.subtract(target, resid, out=resid)
+    rows, m = design.shape[-2:]
+    residual_cov = np.swapaxes(resid, -1, -2) @ resid / (rows - m)
+    return xtx_inv, beta, resid, residual_cov
 
 
 def _column_name(index: int, labels, p: int) -> str:
@@ -286,12 +307,9 @@ def fit_var(panel: Panel, p: int) -> VarFit:
         )
     target, design = _design(values, p)
     _check_full_rank(design, panel.labels, p)
-    xtx_inv = np.linalg.inv(design.T @ design)
-    beta = xtx_inv @ (design.T @ target)
-    resid = target - design @ beta
+    xtx_inv, beta, resid, residual_cov = _ols(design, target)
     rows = target.shape[0]
     dof = rows - m
-    residual_cov = resid.T @ resid / dof
     se_scale = np.sqrt(np.diag(xtx_inv))
     sigma_eq = np.sqrt(np.diag(residual_cov))
     se = np.outer(se_scale, sigma_eq)
@@ -487,23 +505,34 @@ def _bootstrap_panels(fit: VarFit, children) -> np.ndarray:
     return y_star
 
 
-def _bootstrap_fits(fit: VarFit, children):
-    """OLS refits of the bootstrap panels: coefficients (replicates, p,
-    k, k) and residual covariances (replicates, k, k). The panels are
-    freed on return, before the block's responses are built."""
+def _bootstrap_fits(fit: VarFit, children, first: int):
+    """OLS refits of the bootstrap panels, all in one `_ols` call:
+    coefficients (replicates, p, k, k) and residual covariances
+    (replicates, k, k). `first` is the number of the block's first
+    replicate, for error messages. The panels are freed on return,
+    before the block's responses are built.
+
+    Raises:
+        SingularDesignError: a replicate's design is rank deficient.
+    """
     y_star = _bootstrap_panels(fit, children)
     size, _, k = y_star.shape
     p = fit.p
-    rows = fit.n_eff
-    m = k * p + 1
-    betas = np.empty((size, m, k))
-    sigmas = np.empty((size, k, k))
-    for r in range(size):
-        target, design = _design(y_star[r], p)
-        beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-        resid = target - design @ beta
-        sigmas[r] = resid.T @ resid / (rows - m)
-        betas[r] = beta
+    target, design = _design(y_star, p)
+    try:
+        _, betas, _, sigmas = _ols(design, target)
+    except np.linalg.LinAlgError:
+        # each stacked inverse is its replicate's own: refit one by one
+        # to find the first that fails
+        for r in range(size):
+            try:
+                _ols(design[r], target[r])
+            except np.linalg.LinAlgError:
+                raise SingularDesignError(
+                    f"bootstrap replicate {first + r} (counted from 0): "
+                    "collinear regressors in its refit"
+                ) from None
+        raise
     return betas[:, 1:].reshape(size, p, k, k).transpose(0, 1, 3, 2), sigmas
 
 
@@ -519,19 +548,23 @@ def irf(
     residual-bootstrap bands (n_boot=0 skips the bands).
 
     Replicate r draws from its own generator, seeded by child r of
-    ``SeedSequence(seed).spawn(n_boot)``. Replicates run in blocks of
-    ``_BOOT_BLOCK``, which bounds the working set beside the
-    (n_boot, h+1, k, k) deviation array. With more than one block and
-    more than one usable CPU, forked workers (`retlab.workers`) share
-    the blocks, writing their deviations into that array in shared
-    memory, then the same workers take the band's quantile over shares
-    of its cells. The
+    ``SeedSequence(seed).spawn(n_boot)``, and is refit with `fit_var`'s
+    OLS (normal equations). Replicates run in blocks of ``_BOOT_BLOCK``,
+    which bounds the working set beside the (n_boot, h+1, k, k)
+    deviation array; a block's replicates are refit in one stacked
+    call. With more than one block and more than one
+    usable CPU, forked workers (`retlab.workers`) share the blocks,
+    writing their deviations into that array in shared memory, then the
+    same workers take the band's quantile over shares of its cells. The
     bands equal, bit for bit, those of running the replicates one at a
-    time, whatever the number of workers.
+    time, each refit as `fit_var` fits its panel, whatever the number of
+    workers.
 
     Raises:
         ValidationError: h < 0, bad ordering, or coverage outside (0,1).
         DecompositionError: residual covariance not positive definite.
+        SingularDesignError: a replicate's refit design is singular; the
+            message names the replicate, counted from 0.
     """
     if h < 0:
         raise ValidationError(f"horizon must be >= 0, got {h}")
@@ -554,7 +587,7 @@ def irf(
 
         def deviate(lo):
             block = slice(lo, lo + _BOOT_BLOCK)
-            coeff, sigma = _bootstrap_fits(fit, children[block])
+            coeff, sigma = _bootstrap_fits(fit, children[block], lo)
             thetas = _orthogonal_responses(coeff, sigma, perm, h)
             out = deviations[block]
             np.abs(np.subtract(thetas, point, out=out), out=out)

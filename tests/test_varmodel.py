@@ -1,5 +1,6 @@
 """Unit-root tests and VAR estimation, forecasting, IRF, and FEVD."""
 
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -31,7 +32,7 @@ from retlab.varmodel import (
     unit_root_tests,
 )
 from retlab.varmodel.unitroot import _dickey_fuller_p_value
-from retlab.varmodel.var import _BOOT_BLOCK
+from retlab.varmodel.var import _BOOT_BLOCK, _bootstrap_fits, _bootstrap_panels
 
 
 def series_of(values, start="2000-01", label="x"):
@@ -579,7 +580,7 @@ def loop_bootstrap_bands(fit, h, ordering, n_boot, seed, coverage=0.95):
                 acc = acc + fit.coeff[lag - 1] @ y_star[t - lag]
             y_star[t] = acc
         target, design = design_of(y_star, p)
-        beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+        beta = np.linalg.inv(design.T @ design) @ (design.T @ target)
         resid = target - design @ beta
         sigma = resid.T @ resid / (rows - m)
         coeff = (
@@ -603,7 +604,57 @@ def wide_var_sample(seed, n, k):
     )
 
 
+def steady_var_fit(residuals):
+    """A VAR(1) fit whose panel sits at its steady state (4, 4) in every
+    month. Its numbers are exact in binary, so a replicate that draws
+    only zero residuals stays at (4, 4) exactly."""
+    residuals = np.asarray(residuals, dtype=float)
+    n_eff = residuals.shape[0]
+    fit = manual_var_fit([[[0.5, 0.25], [0.125, 0.25]]], np.eye(2), n_eff=n_eff)
+    return dataclasses.replace(
+        fit,
+        intercept=np.array([1.0, 2.5]),
+        residuals=residuals,
+        panel=panel_of(np.full((n_eff + 1, 2), 4.0), fit.labels),
+    )
+
+
 class TestIrfBootstrapBatching:
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_refits_equal_fit_var_on_each_replicate(self, p):
+        panel = wide_var_sample(279, 160, 12)
+        fit = fit_var(panel, p)
+        children = np.random.SeedSequence(41).spawn(_BOOT_BLOCK)
+        coeff, sigma = _bootstrap_fits(fit, children, 0)
+        panels = _bootstrap_panels(fit, children)
+        for r in range(len(children)):
+            alone = fit_var(panel_of(panels[r], fit.labels), p)
+            assert np.array_equal(coeff[r], alone.coeff), r
+            assert np.array_equal(sigma[r], alone.residual_cov), r
+
+    def test_singular_replicate_is_named(self, monkeypatch):
+        # one nonzero residual, along no eigenvector of the coefficients:
+        # a replicate's design has full rank only if its lags carry that
+        # shock in two months or more, that is, if one of its draws but
+        # the last two picks it
+        rows = 8
+        residuals = np.zeros((rows, 2))
+        residuals[-1] = (0.5, 0.0)
+        fit = steady_var_fit(residuals)
+        children = np.random.SeedSequence(2).spawn(_BOOT_BLOCK + 1)
+        singular = next(
+            r for r, child in enumerate(children)
+            if rows - 1 not in np.random.default_rng(child).integers(0, rows, rows)[:-2]
+        )
+        assert singular > 0
+        # two blocks: on 2 CPUs the error comes back from a forked worker
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            with pytest.raises(
+                SingularDesignError, match=rf"bootstrap replicate {singular} "
+            ):
+                irf(fit, 2, n_boot=_BOOT_BLOCK + 1, seed=2)
+
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     @pytest.mark.parametrize("panel_kind", ["k3", "k12"])
     def test_bands_match_one_replicate_at_a_time(self, panel_kind, p, monkeypatch):
