@@ -494,7 +494,7 @@ def _stage_predict(ws: Workspace, config: RunConfig, out_dir: Path):
         ["horizon", "response", "shock", "value", "lower", "upper"], irf_rows,
     )
     params["irf"] = {"seed": config.seed, "n_boot": config.n_boot,
-                     "ordering": list(impulse.ordering)}
+                     "ordering": list(range(fit.width))}
 
     shares = fevd(fit, config.irf_horizon)
     fevd_rows = [

@@ -4,7 +4,8 @@ orthogonalized impulse responses, and forecast-error variance
 decomposition.
 
 Shock orthogonalization uses the Cholesky factor of the residual
-covariance under a caller-chosen variable ordering. Impulse-response
+covariance, with the variables in the fitted panel's column order; to
+try another ordering, reorder the panel before `fit_var`. Impulse-response
 bands come from a seeded residual bootstrap with symmetric percentile
 intervals (point plus/minus a quantile of the absolute bootstrap
 deviations), so the bands contain the point response by construction.
@@ -130,16 +131,15 @@ class ForecastPath:
 
 @dataclass(frozen=True)
 class IrfResult:
-    """Orthogonalized impulse responses under a Cholesky ordering.
+    """Orthogonalized impulse responses, Cholesky-ordered as the panel.
 
     responses[s][i, j] is variable i's reaction, s months after a one-sd
-    orthogonal shock to variable j; labels and entries follow the
-    requested ordering. Bands are symmetric bootstrap percentile
-    intervals and contain the point response by construction.
+    orthogonal shock to variable j, both in the fitted panel's column
+    order. Bands are symmetric bootstrap percentile intervals and
+    contain the point response by construction.
     """
 
     labels: tuple[str, ...]
-    ordering: tuple[int, ...]
     horizon: int
     responses: np.ndarray
     lower: np.ndarray | None
@@ -167,7 +167,6 @@ class FevdResult:
     of variable i's s-step forecast-error variance owed to shock j."""
 
     labels: tuple[str, ...]
-    ordering: tuple[int, ...]
     horizon: int
     shares: np.ndarray
 
@@ -448,32 +447,15 @@ def forecast(fit: VarFit, h: int, history: Panel | None = None) -> ForecastPath:
     )
 
 
-def _validate_ordering(ordering, k: int) -> tuple[int, ...]:
-    if ordering is None:
-        return tuple(range(k))
-    perm = tuple(int(i) for i in ordering)
-    if sorted(perm) != list(range(k)):
-        raise ValidationError(
-            f"ordering must be a permutation of 0..{k - 1}, got {ordering}"
-        )
-    return perm
-
-
-def _orthogonal_responses(coeff, sigma, perm, h):
-    """Theta_0..Theta_h in the permuted coordinate system. Leading axes
-    of coeff (..., p, k, k) and sigma (..., k, k) stack independent
-    models; any one that is not positive definite raises."""
-    idx = np.array(perm)
-    sigma_p = sigma[..., idx[:, None], idx]
+def _orthogonal_responses(coeff, sigma, h):
+    """Theta_0..Theta_h. Leading axes of coeff (..., p, k, k) and sigma
+    (..., k, k) stack independent models; any one that is not positive
+    definite raises."""
     try:
-        chol = np.linalg.cholesky(sigma_p)
+        chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        raise DecompositionError(
-            "residual covariance is not positive definite under this ordering"
-        ) from None
-    psis = _ma_coefficients(coeff, h + 1)
-    psis_p = psis[..., idx, :][..., idx]
-    return psis_p @ chol[..., None, :, :]
+        raise DecompositionError("residual covariance is not positive definite") from None
+    return _ma_coefficients(coeff, h + 1) @ chol[..., None, :, :]
 
 
 def _bootstrap_panels(fit: VarFit, children) -> np.ndarray:
@@ -539,13 +521,13 @@ def _bootstrap_fits(fit: VarFit, children, first: int):
 def irf(
     fit: VarFit,
     h: int,
-    ordering=None,
     n_boot: int = 1000,
     seed: int = 0,
     coverage: float = 0.95,
 ) -> IrfResult:
     """Orthogonalized impulse responses out to horizon h, with seeded
-    residual-bootstrap bands (n_boot=0 skips the bands).
+    residual-bootstrap bands (n_boot=0 skips the bands). The Cholesky
+    ordering is the fitted panel's column order.
 
     Replicate r draws from its own generator, seeded by child r of
     ``SeedSequence(seed).spawn(n_boot)``, and is refit with `fit_var`'s
@@ -561,7 +543,7 @@ def irf(
     workers.
 
     Raises:
-        ValidationError: h < 0, bad ordering, or coverage outside (0,1).
+        ValidationError: h < 0, n_boot < 0, or coverage outside (0,1).
         DecompositionError: residual covariance not positive definite.
         SingularDesignError: a replicate's refit design is singular; the
             message names the replicate, counted from 0.
@@ -572,9 +554,7 @@ def irf(
         raise ValidationError(f"coverage must lie in (0,1), got {coverage}")
     if n_boot < 0:
         raise ValidationError(f"n_boot must be >= 0, got {n_boot}")
-    k = fit.width
-    perm = _validate_ordering(ordering, k)
-    point = _orthogonal_responses(fit.coeff, fit.residual_cov, perm, h)
+    point = _orthogonal_responses(fit.coeff, fit.residual_cov, h)
     lower = upper = None
     if n_boot > 0:
         children = np.random.SeedSequence(seed).spawn(n_boot)
@@ -582,13 +562,13 @@ def irf(
         shards = workers.count(len(blocks))
         # forked workers write into shared memory; one process needs none
         empty = workers.shared_empty if shards > 1 else np.empty
-        deviations = empty((n_boot, h + 1, k, k))
-        band = empty((h + 1, k, k))
+        deviations = empty((n_boot, *point.shape))
+        band = empty(point.shape)
 
         def deviate(lo):
             block = slice(lo, lo + _BOOT_BLOCK)
             coeff, sigma = _bootstrap_fits(fit, children[block], lo)
-            thetas = _orthogonal_responses(coeff, sigma, perm, h)
+            thetas = _orthogonal_responses(coeff, sigma, h)
             out = deviations[block]
             np.abs(np.subtract(thetas, point, out=out), out=out)
 
@@ -609,8 +589,7 @@ def irf(
             arr.flags.writeable = False
     point.flags.writeable = False
     return IrfResult(
-        labels=tuple(fit.labels[i] for i in perm),
-        ordering=perm,
+        labels=fit.labels,
         horizon=h,
         responses=point,
         lower=lower,
@@ -620,27 +599,18 @@ def irf(
     )
 
 
-def fevd(fit: VarFit, h: int, ordering=None) -> FevdResult:
-    """Forecast-error variance decomposition for horizons 1..h.
+def fevd(fit: VarFit, h: int) -> FevdResult:
+    """Forecast-error variance decomposition for horizons 1..h, with the
+    shocks Cholesky-ordered as the fitted panel's columns.
 
     Raises:
-        ValidationError: h < 1 or bad ordering.
+        ValidationError: h < 1.
         DecompositionError: residual covariance not positive definite.
     """
     if h < 1:
         raise ValidationError(f"horizon must be >= 1, got {h}")
-    k = fit.width
-    perm = _validate_ordering(ordering, k)
-    thetas = _orthogonal_responses(fit.coeff, fit.residual_cov, perm, h - 1)
+    thetas = _orthogonal_responses(fit.coeff, fit.residual_cov, h - 1)
     squared = np.cumsum(thetas**2, axis=0)
-    shares = np.empty((h, k, k))
-    for s in range(h):
-        totals = squared[s].sum(axis=1, keepdims=True)
-        shares[s] = squared[s] / totals
+    shares = squared / squared.sum(axis=2, keepdims=True)
     shares.flags.writeable = False
-    return FevdResult(
-        labels=tuple(fit.labels[i] for i in perm),
-        ordering=perm,
-        horizon=h,
-        shares=shares,
-    )
+    return FevdResult(labels=fit.labels, horizon=h, shares=shares)

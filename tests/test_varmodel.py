@@ -500,14 +500,17 @@ class TestIrf:
         assert np.all(width[1:] > 0)
         assert np.all(width[0][np.tril_indices(2)] > 0)
 
-    def test_ordering_permutes_labels_and_factor(self):
+    def test_panel_order_sets_labels_and_factor(self):
         panel = var_sample(274, 500, A_TRUE, C_TRUE, COV_TRUE, labels=["m", "r"])
         fit = fit_var(panel, 1)
-        swapped = irf(fit, 3, ordering=(1, 0), n_boot=0)
-        assert swapped.labels == ("r", "m")
-        perm_cov = fit.residual_cov[np.ix_([1, 0], [1, 0])]
+        swapped = fit_var(Panel(panel.series[::-1]), 1)
         np.testing.assert_allclose(
-            swapped.responses[0], np.linalg.cholesky(perm_cov), atol=1e-12
+            swapped.residual_cov, fit.residual_cov[::-1, ::-1], atol=1e-12
+        )
+        result = irf(swapped, 3, n_boot=0)
+        assert result.labels == ("r", "m")
+        np.testing.assert_allclose(
+            result.responses[0], np.linalg.cholesky(swapped.residual_cov), atol=1e-12
         )
 
     def test_validation_and_decomposition_errors(self):
@@ -515,8 +518,6 @@ class TestIrf:
         fit = fit_var(panel, 1)
         with pytest.raises(ValidationError):
             irf(fit, -1)
-        with pytest.raises(ValidationError):
-            irf(fit, 3, ordering=(0, 0))
         with pytest.raises(ValidationError):
             irf(fit, 3, coverage=1.0)
         degenerate = manual_var_fit(
@@ -531,7 +532,7 @@ def use_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
-def loop_bootstrap_bands(fit, h, ordering, n_boot, seed, coverage=0.95):
+def loop_bootstrap_bands(fit, h, n_boot, seed, coverage=0.95):
     """Reference bootstrap bands: one replicate at a time, each with its
     own SeedSequence child. irf's blocked replicates must match it bit
     for bit."""
@@ -547,10 +548,8 @@ def loop_bootstrap_bands(fit, h, ordering, n_boot, seed, coverage=0.95):
             psis[s] = acc
         return psis
 
-    def orthogonal_responses(coeff, sigma, idx):
-        chol = np.linalg.cholesky(sigma[np.ix_(idx, idx)])
-        psis = ma_coefficients(coeff, h + 1)
-        return psis[:, idx][:, :, idx] @ chol
+    def orthogonal_responses(coeff, sigma):
+        return ma_coefficients(coeff, h + 1) @ np.linalg.cholesky(sigma)
 
     def design_of(values, p):
         n = values.shape[0]
@@ -560,8 +559,7 @@ def loop_bootstrap_bands(fit, h, ordering, n_boot, seed, coverage=0.95):
         return values[p:], np.column_stack(cols)
 
     k = fit.width
-    idx = np.array(ordering)
-    point = orthogonal_responses(fit.coeff, fit.residual_cov, idx)
+    point = orthogonal_responses(fit.coeff, fit.residual_cov)
     values = np.array(fit.panel.values)
     p = fit.p
     n = values.shape[0]
@@ -588,7 +586,7 @@ def loop_bootstrap_bands(fit, h, ordering, n_boot, seed, coverage=0.95):
             if p > 0
             else np.zeros((0, k, k))
         )
-        deviations[r] = np.abs(orthogonal_responses(coeff, sigma, idx) - point)
+        deviations[r] = np.abs(orthogonal_responses(coeff, sigma) - point)
     band = np.quantile(deviations, coverage, axis=0)
     return point - band, point + band
 
@@ -665,16 +663,16 @@ class TestIrfBootstrapBatching:
             )
         else:
             panel = wide_var_sample(277, 160, 12)
-        fit = fit_var(panel, p)
-        k = fit.width
-        for ordering in (tuple(range(k)), tuple(reversed(range(k)))):
+        # two Cholesky orders: the panel's and its reverse
+        for ordered in (panel, Panel(panel.series[::-1])):
+            fit = fit_var(ordered, p)
             # the last: blocks shared among workers, and a ragged tail
             for n_boot in (1, _BOOT_BLOCK, _BOOT_BLOCK + 1, 3 * _BOOT_BLOCK + 5):
-                lower, upper = loop_bootstrap_bands(fit, 6, ordering, n_boot, 31)
+                lower, upper = loop_bootstrap_bands(fit, 6, n_boot, 31)
                 for cpus in (1, 2):
                     use_cpus(monkeypatch, cpus)
-                    result = irf(fit, 6, ordering=ordering, n_boot=n_boot, seed=31)
-                    where = (ordering, n_boot, cpus)
+                    result = irf(fit, 6, n_boot=n_boot, seed=31)
+                    where = (fit.labels[0], n_boot, cpus)
                     assert np.array_equal(result.lower, lower), where
                     assert np.array_equal(result.upper, upper), where
 
@@ -703,6 +701,18 @@ class TestIrfBootstrapBatching:
             assert ratio <= 1.75, f"{cpus} CPU(s): peak {ratio:.2f}x the deviation array"
 
 
+def two_step_shares(a, sigma):
+    """By hand, a bivariate VAR(1)'s FEVD at steps 1 and 2: the shares
+    of the squared orthogonal responses chol(sigma) and a @ chol(sigma)."""
+    chol = np.linalg.cholesky(sigma)
+    first = chol**2
+    second = first + (a @ chol) ** 2
+    return np.stack([
+        first / first.sum(axis=1, keepdims=True),
+        second / second.sum(axis=1, keepdims=True),
+    ])
+
+
 class TestFevd:
     def test_shares_sum_to_one(self):
         panel = var_sample(280, 500, A_TRUE, C_TRUE, COV_TRUE)
@@ -724,23 +734,17 @@ class TestFevd:
         sigma = np.array([[1.0, 0.3], [0.3, 2.0]])
         fit = manual_var_fit(a[None], sigma)
         result = fevd(fit, 2)
-        chol = np.linalg.cholesky(sigma)
-        theta0, theta1 = chol, a @ chol
-        acc = theta0**2 + theta1**2
-        expected = acc / acc.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(result.shares[1], expected, atol=1e-10)
-        first = theta0**2 / (theta0**2).sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(result.shares[0], first, atol=1e-10)
+        np.testing.assert_allclose(result.shares, two_step_shares(a, sigma), atol=1e-10)
 
-    def test_permutation_consistency(self):
+    def test_swapped_panel_matches_hand_oracle(self):
         panel = var_sample(281, 400, A_TRUE, C_TRUE, COV_TRUE, labels=["m", "r"])
         fit = fit_var(panel, 1)
-        swapped_panel = Panel((panel.series[1], panel.series[0]))
-        refit = fit_var(swapped_panel, 1)
-        direct = fevd(refit, 6)
-        permuted = fevd(fit, 6, ordering=(1, 0))
-        assert direct.labels == permuted.labels == ("r", "m")
-        np.testing.assert_allclose(direct.shares, permuted.shares, atol=1e-10)
+        swapped = fevd(fit_var(Panel(panel.series[::-1]), 1), 2)
+        assert swapped.labels == ("r", "m")
+        # the unswapped fit's estimates, with both series' roles swapped
+        a = fit.coeff[0][::-1, ::-1]
+        sigma = fit.residual_cov[::-1, ::-1]
+        np.testing.assert_allclose(swapped.shares, two_step_shares(a, sigma), atol=1e-10)
 
     def test_validation(self):
         panel = var_sample(282, 300, A_TRUE, C_TRUE, COV_TRUE)
