@@ -345,30 +345,26 @@ def granger_causality(fit: VarFit) -> GrangerResult:
 
     For the pair (j -> i), all p lags of series j are dropped from
     series i's equation and the restricted/unrestricted SSRs form an
-    F(p, n_eff - k*p - 1) statistic.
+    F(p, n_eff - k*p - 1) statistic. The unrestricted SSRs are the fit's
+    own; each restricted design is refit by `fit_var`'s OLS.
 
     Raises:
         ValidationError: fit has no lags (p = 0).
     """
     if fit.p == 0:
         raise ValidationError("Granger tests need at least one lag")
-    values = fit.panel.values
     k = fit.width
     p = fit.p
-    target, design = _design(values, p)
-    rows = target.shape[0]
-    dof = rows - (k * p + 1)
-    beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-    ssr_full = np.sum((target - design @ beta) ** 2, axis=0)
-    f_stats = np.full((k, k), np.nan)
+    target, design = _design(fit.panel.values, p)
+    dof = fit.n_eff - (k * p + 1)
+    ssr_full = np.sum(fit.residuals**2, axis=0)[:, None]
+    # ssr_restricted[i, j]: series i's equation without series j's lags
+    ssr_restricted = np.empty((k, k))
     for j in range(k):
-        drop = [1 + lag * k + j for lag in range(p)]
-        keep = [c for c in range(design.shape[1]) if c not in drop]
-        sub = design[:, keep]
-        beta_r, _, _, _ = np.linalg.lstsq(sub, target, rcond=None)
-        ssr_restricted = np.sum((target - sub @ beta_r) ** 2, axis=0)
-        f_val = ((ssr_restricted - ssr_full) / p) / (ssr_full / dof)
-        f_stats[:, j] = np.maximum(f_val, 0.0)
+        # series j's lag columns are 1 + j, 1 + j + k, ..., one per lag
+        _, _, resid, _ = _ols(np.delete(design, slice(1 + j, None, k), axis=1), target)
+        ssr_restricted[:, j] = np.sum(resid**2, axis=0)
+    f_stats = np.maximum(((ssr_restricted - ssr_full) / p) / (ssr_full / dof), 0.0)
     np.fill_diagonal(f_stats, np.nan)
     off = ~np.eye(k, dtype=bool)
     p_values = np.full((k, k), np.nan)

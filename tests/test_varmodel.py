@@ -385,6 +385,28 @@ class TestGranger:
         )
         assert np.isnan(result.f_stats[0, 0])
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_every_pair_matches_explicit_f_form(self, p):
+        # each restricted design drops series j's p lag columns, wherever
+        # they sit among the k*p lag columns
+        fit = fit_var(wide_var_sample(254, 160, 12), p)
+        k = fit.width
+        values = fit.panel.values
+        target = values[p:]
+        lags = [values[p - lag : len(values) - lag] for lag in range(1, p + 1)]
+        ones = np.ones(fit.n_eff)
+        full = np.column_stack([ones, *lags])
+        dof = fit.n_eff - k * p - 1
+        result = granger_causality(fit)
+        for i in range(k):
+            ssr_full = _ssr(full, target[:, i])
+            for j in set(range(k)) - {i}:
+                restricted = np.column_stack([ones] + [np.delete(x, j, axis=1) for x in lags])
+                ssr_restricted = _ssr(restricted, target[:, i])
+                expected = ((ssr_restricted - ssr_full) / p) / (ssr_full / dof)
+                # near-zero statistics are differences of nearly equal SSRs
+                assert result.f_stats[i, j] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
     def test_invariant_to_positive_rescaling(self):
         panel = var_sample(252, 400, A_TRUE, C_TRUE, COV_TRUE)
         grid = panel.grid
