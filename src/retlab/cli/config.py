@@ -45,6 +45,10 @@ Input paths resolve relative to the config file's directory; the output
 directory resolves relative to the working directory of the run, so a
 bundled read-only config still produces local artifacts. The environment
 variable ``RETLAB_SEED``, when set, overrides ``[run] seed``.
+
+Every section and key must be one shown above or ``[var] lag`` (a fixed
+VAR order in place of the criterion's pick): a misspelt one raises
+ParseError. No ``[DEFAULT]`` section passes its keys to the others.
 """
 
 from __future__ import annotations
@@ -58,10 +62,21 @@ from pathlib import Path
 from ..errors import ParseError, ValidationError
 from ..risk import RiskConfig
 from ..synth import GeneratorSpec
+from ..varmodel.var import _CRITERIA
 from .io import LAYOUTS
 
 SEED_ENV_VAR = "RETLAB_SEED"
-_CRITERIA = ("AIC", "BIC")
+# the keys load_config reads; each [synth.<name>] section takes _SYNTH_KEYS
+_KEYS = {
+    "run": ("output", "seed"),
+    "inputs": ("returns", "layout", "constituents"),
+    "series": ("market", "panel", "constituents_label"),
+    "factors": ("count",),
+    "risk": ("fractiles", "garch_conditioning", "mixture_k_max", "gpd_threshold_quantile"),
+    "var": ("max_lag", "criterion", "lag", "forecast_horizon", "irf_horizon", "bootstrap"),
+    "describe": ("correlogram_lags",),
+}
+_SYNTH_KEYS = ("kind", "n", "seed", "params")
 
 
 @dataclass(frozen=True)
@@ -151,6 +166,20 @@ def _resolve_input(base: Path, raw: str | None, what: str) -> Path | None:
     return path
 
 
+def _check_keys(parser: configparser.ConfigParser) -> None:
+    for section in parser.sections():
+        known = _SYNTH_KEYS if section.startswith("synth.") else _KEYS.get(section)
+        if known is None:
+            raise ParseError(
+                f"[{section}]: unknown section; known: {', '.join(_KEYS)}, synth.<name>"
+            )
+        for key in parser.options(section):
+            if key not in known:
+                raise ParseError(
+                    f"[{section}] {key}: unknown key; known: {', '.join(known)}"
+                )
+
+
 def _synth_sections(
     parser: configparser.ConfigParser, root_seed: int
 ) -> tuple[tuple[str, GeneratorSpec], ...]:
@@ -185,13 +214,14 @@ def load_config(path: Path) -> RunConfig:
     """Parse and validate a run configuration file.
 
     Raises:
-        ParseError: unreadable file, bad syntax, bad typed value, or a
-            referenced input file that does not exist.
+        ParseError: unreadable file, bad syntax, an unknown section or
+            key, bad typed value, or a missing referenced input file.
         ValidationError: well-formed values that violate an invariant
             (fractiles outside (0.5,1), bad criterion, ...).
     """
     path = Path(path)
-    parser = configparser.ConfigParser(interpolation=None)
+    # no section name can be empty, so [DEFAULT] is an ordinary section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -199,6 +229,7 @@ def load_config(path: Path) -> RunConfig:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    _check_keys(parser)
 
     base = path.resolve().parent
     returns_raw = _get(parser, "inputs", "returns")

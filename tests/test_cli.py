@@ -295,6 +295,19 @@ class TestConfig:
         config = load_config(cfg)
         assert config.seed == 99 and config.seed_source == "env"
 
+    @pytest.mark.parametrize("text, message", [
+        # a misspelt key would leave the default of 500 draws in force
+        ("[var]\nbootstraps = 10\n", r"^\[var\] bootstraps: unknown key; known: "),
+        ("[risks]\nfractiles = 0.9\n", r"^\[risks\]: unknown section; known: "),
+        ("[DEFAULT]\nseed = 3\n", r"^\[DEFAULT\]: unknown section"),
+        ("[synth.x]\nkind = garch\nsed = 3\n", r"^\[synth.x\] sed: unknown key"),
+    ])
+    def test_unknown_section_or_key(self, tmp_path, text, message):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=message):
+            load_config(cfg)
+
     def test_bad_synth_json(self, tmp_path):
         cfg = tmp_path / "r.cfg"
         cfg.write_text(
