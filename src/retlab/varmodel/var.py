@@ -5,7 +5,7 @@ decomposition.
 
 Shock orthogonalization uses the Cholesky factor of the residual
 covariance, with the variables in the fitted panel's column order; to
-try another ordering, reorder the panel before `fit_var`. Impulse-response
+try another variable order, reorder the panel before `fit_var`. Impulse-response
 bands come from a seeded residual bootstrap with symmetric percentile
 intervals (point plus/minus a quantile of the absolute bootstrap
 deviations), so the bands contain the point response by construction.
@@ -523,7 +523,7 @@ def irf(
 ) -> IrfResult:
     """Orthogonalized impulse responses out to horizon h, with seeded
     residual-bootstrap bands (n_boot=0 skips the bands). The Cholesky
-    ordering is the fitted panel's column order.
+    order is the fitted panel's column order.
 
     Replicate r draws from its own generator, seeded by child r of
     ``SeedSequence(seed).spawn(n_boot)``, and is refit with `fit_var`'s
