@@ -1,7 +1,8 @@
 """Unit-root and stationarity tests: augmented Dickey-Fuller, the
 Phillips-Perron correction, and the KPSS level-stationarity statistic.
 
-All regressions include a constant and no trend. ADF and PP p-values are
+All regressions include a constant and no trend, and are fit by
+`retlab.regression.ols`. ADF and PP p-values are
 interpolated from an embedded critical-value table for the constant-only
 case (levels 0.01..0.99), first in 1/n across tabulated sample sizes and
 then across levels; interpolated p-values are therefore bounded by the
@@ -19,6 +20,7 @@ from importlib import resources
 import numpy as np
 
 from ..errors import DegenerateVarianceError, InsufficientDataError, ValidationError
+from ..regression import ols
 from ..series import LogPriceSeries, ReturnSeries
 
 
@@ -102,26 +104,6 @@ def _kpss_critical(level: float) -> float:
     return float(grid[0, matches[0]])
 
 
-def _ols(design: np.ndarray, y: np.ndarray):
-    """Least squares with coefficient standard errors.
-
-    Raises DegenerateVarianceError when the design has no independent
-    variation (e.g. a constant input series)."""
-    xtx = design.T @ design
-    try:
-        xtx_inv = np.linalg.inv(xtx)
-    except np.linalg.LinAlgError:
-        raise DegenerateVarianceError(
-            "regressors are collinear; the series has no usable variation"
-        ) from None
-    coef = xtx_inv @ (design.T @ y)
-    resid = y - design @ coef
-    dof = len(y) - design.shape[1]
-    s2 = float(resid @ resid) / dof
-    se = np.sqrt(s2 * np.diag(xtx_inv))
-    return coef, se, resid, s2
-
-
 def _bartlett_long_run_variance(u: np.ndarray, bandwidth: int) -> float:
     """Newey-West estimate with Bartlett weights, n denominator."""
     n = len(u)
@@ -155,7 +137,7 @@ def _adf(y: np.ndarray):
     best_bic = math.inf
     for lag in range(max_lag + 1):
         design, target = build(lag, max_lag)
-        _, _, resid, _ = _ols(design, target)
+        resid = ols(design, target[:, None])[2][:, 0]
         n_sel = len(target)
         ssr = float(resid @ resid)
         bic = n_sel * math.log(ssr / n_sel) + (lag + 2) * math.log(n_sel)
@@ -163,8 +145,8 @@ def _adf(y: np.ndarray):
             best_bic = bic
             best_lag = lag
     design, target = build(best_lag, best_lag)
-    coef, se, _, _ = _ols(design, target)
-    stat = float(coef[1] / se[1])
+    xtx_inv, coef, _, s2 = ols(design, target[:, None])
+    stat = float(coef[1, 0] / np.sqrt(s2[0, 0] * xtx_inv[1, 1]))
     return stat, best_lag, len(target)
 
 
@@ -173,13 +155,16 @@ def _phillips_perron(y: np.ndarray, bandwidth: int):
     correlation correction."""
     design = np.column_stack([np.ones(len(y) - 1), y[:-1]])
     target = y[1:]
-    coef, se, resid, s2 = _ols(design, target)
+    xtx_inv, coef, resid, s2 = ols(design, target[:, None])
+    resid = resid[:, 0]
+    s2 = float(s2[0, 0])
+    se = math.sqrt(s2 * xtx_inv[1, 1])
     n_eff = len(target)
-    t_rho = float((coef[1] - 1.0) / se[1])
+    t_rho = float((coef[1, 0] - 1.0) / se)
     gamma0 = float(resid @ resid) / n_eff
     lam2 = _bartlett_long_run_variance(resid, bandwidth)
     correction = 0.5 * ((lam2 - gamma0) / math.sqrt(lam2)) * (
-        n_eff * float(se[1]) / math.sqrt(s2)
+        n_eff * se / math.sqrt(s2)
     )
     stat = math.sqrt(gamma0 / lam2) * t_rho - correction
     return stat, n_eff
@@ -200,7 +185,8 @@ def unit_root_tests(s: ReturnSeries | LogPriceSeries) -> UnitRootReport:
 
     Raises:
         InsufficientDataError: n < 30.
-        DegenerateVarianceError: constant input.
+        DegenerateVarianceError: constant input, or an ADF or PP design
+            whose cross-product matrix is exactly singular.
     """
     y = np.asarray(s.values, dtype=np.float64)
     n = len(y)
@@ -209,8 +195,13 @@ def unit_root_tests(s: ReturnSeries | LogPriceSeries) -> UnitRootReport:
     if np.ptp(y) == 0:
         raise DegenerateVarianceError(f"series {s.label!r} is constant")
     bandwidth = int(4.0 * (n / 100.0) ** (2.0 / 9.0))
-    adf_stat, adf_lags, adf_n = _adf(y)
-    pp_stat, pp_n = _phillips_perron(y, bandwidth)
+    try:
+        adf_stat, adf_lags, adf_n = _adf(y)
+        pp_stat, pp_n = _phillips_perron(y, bandwidth)
+    except np.linalg.LinAlgError:
+        raise DegenerateVarianceError(
+            "regressors are collinear; the series has no usable variation"
+        ) from None
     kpss_stat = _kpss(y, bandwidth)
     return UnitRootReport(
         label=s.label,

@@ -1,7 +1,8 @@
 """Vector autoregression: OLS estimation, information-criterion lag
 selection, Granger causality, iterated forecasts with standard errors,
 orthogonalized impulse responses, and forecast-error variance
-decomposition.
+decomposition. Every regression here, from lag selection to the
+bootstrap refits, is `retlab.regression.ols`.
 
 Shock orthogonalization uses the Cholesky factor of the residual
 covariance, with the variables in the fitted panel's column order; to
@@ -18,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
 from scipy.special import fdtrc
 
 from .. import workers
@@ -29,9 +29,12 @@ from ..errors import (
     SingularDesignError,
     ValidationError,
 )
+from ..regression import check_full_rank, ols
 from ..series import Panel
 
 _CRITERIA = ("AIC", "BIC")
+# the coverage of irf's bootstrap bands
+_COVERAGE = 0.95
 # bootstrap replicates irf runs together: at k=30, n=600 and h=24 a
 # block's working set (panels, MA and response arrays) stays under 50 MB
 _BOOT_BLOCK = 64
@@ -193,42 +196,11 @@ def _design(values: np.ndarray, p: int):
     return values[..., p:, :], design
 
 
-def _ols(design: np.ndarray, target: np.ndarray):
-    """Normal-equation OLS of target on design: inv(X'X), the
-    coefficients, the residuals and the residual covariance over
-    rows - columns degrees of freedom. A 2-D design fits one model;
-    leading axes stack independent models, each with the same sums as
-    its own 2-D call.
-
-    Raises:
-        numpy.linalg.LinAlgError: some X'X is exactly singular.
-    """
-    design_t = np.swapaxes(design, -1, -2)
-    xtx_inv = np.linalg.inv(design_t @ design)
-    beta = xtx_inv @ (design_t @ target)
-    resid = design @ beta
-    np.subtract(target, resid, out=resid)
-    rows, m = design.shape[-2:]
-    residual_cov = np.swapaxes(resid, -1, -2) @ resid / (rows - m)
-    return xtx_inv, beta, resid, residual_cov
-
-
-def _column_name(index: int, labels, p: int) -> str:
-    if index == 0:
-        return "intercept"
-    lag = (index - 1) // len(labels) + 1
-    return f"{labels[(index - 1) % len(labels)]} lag {lag}"
-
-
-def _check_full_rank(design: np.ndarray, labels, p: int) -> None:
-    _, r, pivots = qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(design.shape) * np.finfo(np.float64).eps
-    rank = int(np.sum(diag > tol))
-    if rank < design.shape[1]:
-        offending = sorted(int(i) for i in pivots[rank:])
-        names = ", ".join(_column_name(i, labels, p) for i in offending)
-        raise SingularDesignError(f"collinear regressors: {names}")
+def _lag_names(labels, p: int) -> list[str]:
+    """Names of `_design`'s columns, in its order."""
+    return ["intercept"] + [
+        f"{label} lag {lag}" for lag in range(1, p + 1) for label in labels
+    ]
 
 
 def _companion_spectral_radius(coeff: np.ndarray) -> float:
@@ -247,11 +219,16 @@ def select_lag(panel: Panel, p_max: int, criterion: str = "BIC") -> int:
 
     All candidate orders are scored on the common sample that excludes
     the first p_max observations, so their criteria are comparable; ties
-    go to the smallest order.
+    go to the smallest order. Order p's design is the first k*p + 1
+    columns of order p_max's on those rows, so one rank check of the
+    widest design covers every candidate, each then fit by `fit_var`'s
+    OLS.
 
     Raises:
         ValidationError: bad p_max or criterion.
         InsufficientDataError: panel shorter than k*p_max + 2.
+        SingularDesignError: collinear regressors in the widest design,
+            named by series and lag.
     """
     crit_name = criterion.upper()
     if crit_name not in _CRITERIA:
@@ -266,20 +243,16 @@ def select_lag(panel: Panel, p_max: int, criterion: str = "BIC") -> int:
             f"lag selection up to {p_max} needs n > {k * p_max + 1 + p_max}, got {n}"
         )
     t_common = n - p_max
+    # every candidate is fitted to the same target rows p_max..n-1
+    target, widest = _design(values, p_max)
+    check_full_rank(widest, _lag_names(panel.labels, p_max))
+    penalty = 2.0 if crit_name == "AIC" else math.log(t_common)
     scores = []
     for p in range(1, p_max + 1):
-        # every candidate is fitted to the same target rows p_max..n-1
-        target, design = _design(values[p_max - p :], p)
-        beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-        resid = target - design @ beta
-        sigma_mle = resid.T @ resid / t_common
-        sign, logdet = np.linalg.slogdet(sigma_mle)
-        if sign <= 0:
-            scores.append(math.inf)
-            continue
+        _, _, resid, _ = ols(widest[:, : k * p + 1], target)
+        sign, logdet = np.linalg.slogdet(resid.T @ resid / t_common)
         m_params = k * (k * p + 1)
-        penalty = 2.0 if crit_name == "AIC" else math.log(t_common)
-        scores.append(logdet + penalty * m_params / t_common)
+        scores.append(logdet + penalty * m_params / t_common if sign > 0 else math.inf)
     return int(np.argmin(scores)) + 1
 
 
@@ -305,8 +278,8 @@ def fit_var(panel: Panel, p: int) -> VarFit:
             f"VAR({p}) on {k} series needs n > {m + p}, got {n}"
         )
     target, design = _design(values, p)
-    _check_full_rank(design, panel.labels, p)
-    xtx_inv, beta, resid, residual_cov = _ols(design, target)
+    check_full_rank(design, _lag_names(panel.labels, p))
+    xtx_inv, beta, resid, residual_cov = ols(design, target)
     rows = target.shape[0]
     dof = rows - m
     se_scale = np.sqrt(np.diag(xtx_inv))
@@ -362,7 +335,7 @@ def granger_causality(fit: VarFit) -> GrangerResult:
     ssr_restricted = np.empty((k, k))
     for j in range(k):
         # series j's lag columns are 1 + j, 1 + j + k, ..., one per lag
-        _, _, resid, _ = _ols(np.delete(design, slice(1 + j, None, k), axis=1), target)
+        _, _, resid, _ = ols(np.delete(design, slice(1 + j, None, k), axis=1), target)
         ssr_restricted[:, j] = np.sum(resid**2, axis=0)
     f_stats = np.maximum(((ssr_restricted - ssr_full) / p) / (ssr_full / dof), 0.0)
     np.fill_diagonal(f_stats, np.nan)
@@ -484,7 +457,7 @@ def _bootstrap_panels(fit: VarFit, children) -> np.ndarray:
 
 
 def _bootstrap_fits(fit: VarFit, children, first: int):
-    """OLS refits of the bootstrap panels, all in one `_ols` call:
+    """OLS refits of the bootstrap panels, all in one `ols` call:
     coefficients (replicates, p, k, k) and residual covariances
     (replicates, k, k). `first` is the number of the block's first
     replicate, for error messages. The panels are freed on return,
@@ -498,13 +471,13 @@ def _bootstrap_fits(fit: VarFit, children, first: int):
     p = fit.p
     target, design = _design(y_star, p)
     try:
-        _, betas, _, sigmas = _ols(design, target)
+        _, betas, _, sigmas = ols(design, target)
     except np.linalg.LinAlgError:
         # each stacked inverse is its replicate's own: refit one by one
         # to find the first that fails
         for r in range(size):
             try:
-                _ols(design[r], target[r])
+                ols(design[r], target[r])
             except np.linalg.LinAlgError:
                 raise SingularDesignError(
                     f"bootstrap replicate {first + r} (counted from 0): "
@@ -514,16 +487,10 @@ def _bootstrap_fits(fit: VarFit, children, first: int):
     return betas[:, 1:].reshape(size, p, k, k).transpose(0, 1, 3, 2), sigmas
 
 
-def irf(
-    fit: VarFit,
-    h: int,
-    n_boot: int = 1000,
-    seed: int = 0,
-    coverage: float = 0.95,
-) -> IrfResult:
+def irf(fit: VarFit, h: int, n_boot: int = 1000, seed: int = 0) -> IrfResult:
     """Orthogonalized impulse responses out to horizon h, with seeded
-    residual-bootstrap bands (n_boot=0 skips the bands). The Cholesky
-    order is the fitted panel's column order.
+    residual-bootstrap bands of coverage ``_COVERAGE`` (n_boot=0 skips
+    the bands). The Cholesky order is the fitted panel's column order.
 
     Replicate r draws from its own generator, seeded by child r of
     ``SeedSequence(seed).spawn(n_boot)``, and is refit with `fit_var`'s
@@ -539,15 +506,13 @@ def irf(
     workers.
 
     Raises:
-        ValidationError: h < 0, n_boot < 0, or coverage outside (0,1).
+        ValidationError: h < 0 or n_boot < 0.
         DecompositionError: residual covariance not positive definite.
         SingularDesignError: a replicate's refit design is singular; the
             message names the replicate, counted from 0.
     """
     if h < 0:
         raise ValidationError(f"horizon must be >= 0, got {h}")
-    if not 0.0 < coverage < 1.0:
-        raise ValidationError(f"coverage must lie in (0,1), got {coverage}")
     if n_boot < 0:
         raise ValidationError(f"n_boot must be >= 0, got {n_boot}")
     point = _orthogonal_responses(fit.coeff, fit.residual_cov, h)
@@ -571,7 +536,7 @@ def irf(
         def take_quantile(cells):
             # each cell's quantile reads only that cell's deviations
             band.reshape(-1)[cells] = np.quantile(
-                deviations.reshape(n_boot, -1)[:, cells], coverage, axis=0,
+                deviations.reshape(n_boot, -1)[:, cells], _COVERAGE, axis=0,
                 overwrite_input=True,
             )
 

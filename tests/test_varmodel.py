@@ -337,6 +337,57 @@ class TestSelectLag:
         with pytest.raises(InsufficientDataError):
             select_lag(small, 5)
 
+    @pytest.mark.parametrize("criterion", ["AIC", "BIC"])
+    def test_pick_matches_lstsq_reference(self, criterion):
+        # 24 random VAR(q) panels, q in 1..3, k in 1..4: the absolute
+        # row sums of the q lag matrices add up to at most 0.8, so the
+        # VAR is stable
+        for seed in range(24):
+            rng = np.random.default_rng(234_000 + seed)
+            k = int(rng.integers(1, 5))
+            q = int(rng.integers(1, 4))
+            coefficients = [
+                (np.diag(rng.uniform(-0.6, 0.6, k)) + rng.uniform(-0.05, 0.05, (k, k))) / q
+                for _ in range(q)
+            ]
+            residual_cov = (0.7 * np.eye(k) + 0.3).tolist()
+            panel = var_sample(
+                seed, int(rng.integers(80, 400)), np.array(coefficients).tolist(),
+                [0.1] * k, residual_cov,
+                labels=[f"s{j}" for j in range(k)],
+            )
+            for p_max in range(1, 7):
+                expected = lstsq_lag_pick(panel, p_max, criterion)
+                assert select_lag(panel, p_max, criterion) == expected, (seed, p_max)
+
+    def test_collinear_member_names_offenders(self):
+        rng = np.random.default_rng(235)
+        a, b = rng.standard_normal((2, 200))
+        panel = panel_of(np.column_stack([a, b, 2.0 * a]), ("a", "b", "c"))
+        with pytest.raises(
+            SingularDesignError, match="^collinear regressors: a lag 1, a lag 2, a lag 3$"
+        ):
+            select_lag(panel, 3)
+
+
+def lstsq_lag_pick(panel, p_max, criterion):
+    """The order select_lag should pick: each candidate fit by its own
+    lstsq on the common sample, rows p_max..n-1."""
+    values = panel.values
+    n, k = values.shape
+    t_common = n - p_max
+    target = values[p_max:]
+    penalty = 2.0 if criterion == "AIC" else math.log(t_common)
+    scores = []
+    for p in range(1, p_max + 1):
+        lags = [values[p_max - lag : n - lag] for lag in range(1, p + 1)]
+        design = np.column_stack([np.ones(t_common), *lags])
+        beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+        resid = target - design @ beta
+        _, logdet = np.linalg.slogdet(resid.T @ resid / t_common)
+        scores.append(logdet + penalty * k * (k * p + 1) / t_common)
+    return int(np.argmin(scores)) + 1
+
 
 class TestGranger:
     def test_size_under_independence(self):
@@ -540,8 +591,6 @@ class TestIrf:
         fit = fit_var(panel, 1)
         with pytest.raises(ValidationError):
             irf(fit, -1)
-        with pytest.raises(ValidationError):
-            irf(fit, 3, coverage=1.0)
         degenerate = manual_var_fit(
             [[[0.2, 0.0], [0.0, 0.2]]], [[1.0, 1.0], [1.0, 1.0]]
         )
@@ -554,7 +603,7 @@ def use_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
-def loop_bootstrap_bands(fit, h, n_boot, seed, coverage=0.95):
+def loop_bootstrap_bands(fit, h, n_boot, seed):
     """Reference bootstrap bands: one replicate at a time, each with its
     own SeedSequence child. irf's blocked replicates must match it bit
     for bit."""
@@ -609,7 +658,7 @@ def loop_bootstrap_bands(fit, h, n_boot, seed, coverage=0.95):
             else np.zeros((0, k, k))
         )
         deviations[r] = np.abs(orthogonal_responses(coeff, sigma) - point)
-    band = np.quantile(deviations, coverage, axis=0)
+    band = np.quantile(deviations, 0.95, axis=0)
     return point - band, point + band
 
 
