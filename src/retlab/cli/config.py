@@ -63,7 +63,6 @@ from ..errors import ParseError, ValidationError
 from ..risk import RiskConfig
 from ..synth import GeneratorSpec
 from ..varmodel.var import _CRITERIA
-from .io import LAYOUTS
 
 SEED_ENV_VAR = "RETLAB_SEED"
 # the keys load_config reads; each [synth.<name>] section takes _SYNTH_KEYS
@@ -166,6 +165,12 @@ def _resolve_input(base: Path, raw: str | None, what: str) -> Path | None:
     return path
 
 
+def _risk_config(**keys) -> RiskConfig:
+    """RiskConfig from the [risk] keys given; one that is None, left out
+    of the file, keeps RiskConfig's default."""
+    return RiskConfig(**{name: value for name, value in keys.items() if value is not None})
+
+
 def _check_keys(parser: configparser.ConfigParser) -> None:
     for section in parser.sections():
         known = _SYNTH_KEYS if section.startswith("synth.") else _KEYS.get(section)
@@ -251,13 +256,15 @@ def load_config(path: Path) -> RunConfig:
         seed = _get_int(parser, "run", "seed", 0)
         seed_source = "config"
 
-    raw_fractiles = _get(parser, "risk", "fractiles", "0.95, 0.99, 0.999")
-    try:
-        fractiles = tuple(float(x) for x in _name_list(raw_fractiles))
-    except ValueError as exc:
-        raise ParseError(f"[risk] fractiles: expected numbers, got {raw_fractiles!r}") from exc
-    if not fractiles:
-        raise ParseError("[risk] fractiles: empty list")
+    raw_fractiles = _get(parser, "risk", "fractiles")
+    fractiles = None
+    if raw_fractiles is not None:
+        try:
+            fractiles = tuple(float(x) for x in _name_list(raw_fractiles))
+        except ValueError as exc:
+            raise ParseError(f"[risk] fractiles: expected numbers, got {raw_fractiles!r}") from exc
+        if not fractiles:
+            raise ParseError("[risk] fractiles: empty list")
 
     members_raw = _get(parser, "series", "panel")
     var_lag = _get_int(parser, "var", "lag", None) if _get(parser, "var", "lag") else None
@@ -270,13 +277,11 @@ def load_config(path: Path) -> RunConfig:
         market=_get(parser, "series", "market") or None,
         panel_members=_name_list(members_raw) if members_raw else None,
         n_factors=_get_int(parser, "factors", "count", 1),
-        risk=RiskConfig(
+        risk=_risk_config(
             fractiles=fractiles,
-            garch_conditioning=_get(parser, "risk", "garch_conditioning", "one-step"),
-            mixture_k_max=_get_int(parser, "risk", "mixture_k_max", 3),
-            gpd_threshold_quantile=_get_float(
-                parser, "risk", "gpd_threshold_quantile", 0.90
-            ),
+            garch_conditioning=_get(parser, "risk", "garch_conditioning"),
+            mixture_k_max=_get_int(parser, "risk", "mixture_k_max", None),
+            gpd_threshold_quantile=_get_float(parser, "risk", "gpd_threshold_quantile", None),
         ),
         var_max_lag=_get_int(parser, "var", "max_lag", 6),
         var_criterion=_get(parser, "var", "criterion", "BIC").upper(),

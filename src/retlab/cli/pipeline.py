@@ -204,18 +204,20 @@ def _stage_describe(ws: Workspace, config: RunConfig, out_dir: Path):
             [month, s.label, value]
             for month, value in zip(prices.grid.labels(), prices.values.tolist())
         ]
-        for entry in correlogram(s, s, config.correlogram_lags):
-            fig_correlogram.append(
-                ["auto", s.label, entry.lag, entry.value, entry.band]
-            )
+        pairs = [("auto", s, s)]
         if ws.market is not None and s.label != ws.market.label:
             common = s.grid.intersect(ws.market.grid)
-            if common is not None and common.length > config.correlogram_lags + 3:
-                pair = (s.restrict(common), ws.market.restrict(common))
-                for entry in correlogram(*pair, config.correlogram_lags):
-                    fig_correlogram.append(
-                        ["cross-vs-market", s.label, entry.lag, entry.value, entry.band]
-                    )
+            # correlogram rejects a span of 2 * lags months or fewer
+            if common is not None and config.correlogram_lags < common.length / 2:
+                pairs.append(
+                    ("cross-vs-market", s.restrict(common), ws.market.restrict(common))
+                )
+        try:
+            for kind, x, y in pairs:
+                for entry in correlogram(x, y, config.correlogram_lags):
+                    fig_correlogram.append([kind, s.label, entry.lag, entry.value, entry.band])
+        except RetlabError as exc:
+            errors.append(f"{s.label}: {exc}")
     artifacts += write_csv(
         out_dir / "fig_returns.csv", ["month", "series", "value"], fig_returns
     )

@@ -287,6 +287,13 @@ class TestConfig:
         with pytest.raises(ValidationError, match="0.4"):
             load_config(cfg)
 
+    def test_missing_risk_keys_keep_risk_config_defaults(self, tmp_path):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("[run]\nseed = 11\n", encoding="utf-8")
+        assert load_config(cfg).risk == risk.RiskConfig()
+        cfg.write_text("[risk]\nmixture_k_max = 2\n", encoding="utf-8")
+        assert load_config(cfg).risk == dataclasses.replace(risk.RiskConfig(), mixture_k_max=2)
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         cfg = tmp_path / "r.cfg"
         cfg.write_text("[run]\nseed = 11\n", encoding="utf-8")
@@ -368,6 +375,39 @@ correlogram_lags = 6
     return cfg
 
 
+def write_constituents(path, start, months):
+    """Two assets' constituent rows for `months` months from `start`."""
+    rng = np.random.default_rng(9)
+    first = Month.parse(start).ordinal
+    lines = ["date,id,return,market_cap"]
+    for i in range(months):
+        month = Month.from_ordinal(first + i)
+        for asset, cap in (("ACME", 120.0), ("BOLT", 80.0)):
+            lines.append(f"{month},{asset},{rng.normal():.4f},{cap}")
+    write_lines(path, lines)
+
+
+def write_correlogram_config(tmp_path, *, market, members):
+    """A returns file of A, B and M on 160 months from 2000-01, the
+    constituents file beside it, and the default 12 correlogram lags."""
+    write_panel(tmp_path / "returns.csv", panel_fixture())
+    cfg = tmp_path / "describe.cfg"
+    cfg.write_text(
+        f"[run]\noutput = {tmp_path / 'out'}\n"
+        "[inputs]\nreturns = returns.csv\nlayout = wide\n"
+        "constituents = constituents.csv\n"
+        f"[series]\nmarket = {market}\npanel = {members}\n",
+        encoding="utf-8",
+    )
+    return cfg
+
+
+def correlogram_curves(out_dir):
+    """The (kind, series) pairs fig_correlogram.csv has rows for."""
+    lines = (out_dir / "fig_correlogram.csv").read_text().splitlines()[1:]
+    return {tuple(line.split(",")[:2]) for line in lines}
+
+
 class TestCommands:
     def test_describe_table_shape(self, tmp_path):
         cfg = write_run_config(tmp_path)
@@ -391,6 +431,35 @@ class TestCommands:
         assert float(row_a[1]) == stats.mean
         assert float(row_a[2]) == stats.sd
         assert float(row_a[5]) == stats.jarque_bera
+
+    def test_describe_names_a_series_too_short_for_its_correlogram(self, tmp_path):
+        # PORT, from 20 months of constituents, is too short for the
+        # default 12 correlogram lags; A, B and M span 160 months
+        write_constituents(tmp_path / "constituents.csv", "2005-01", 20)
+        cfg = write_correlogram_config(tmp_path, market="M", members="A, B, PORT")
+        assert main(["describe", str(cfg)]) == 1
+        stage = json.loads((tmp_path / "out" / "summary.json").read_text())["stages"][1]
+        assert stage["error"] == "PORT: max_lag must lie in [0, n/2), got 12 for n=20"
+        assert stage["artifacts"] == [
+            "describe.txt", "describe.csv", "cross_section.txt", "cross_section.csv",
+            "fig_returns.csv", "fig_log_prices.csv", "fig_correlogram.csv",
+        ]
+        assert correlogram_curves(tmp_path / "out") == {
+            ("auto", "A"), ("auto", "B"), ("auto", "M"),
+            ("cross-vs-market", "A"), ("cross-vs-market", "B"),
+        }
+        returns = (tmp_path / "out" / "fig_returns.csv").read_text().splitlines()
+        assert sum(line.split(",")[1] == "PORT" for line in returns) == 20
+
+    def test_describe_skips_a_cross_correlogram_its_span_rejects(self, tmp_path):
+        # the market PORT spans 30 months, its first 20 the last 20 of A's
+        # and B's 160: 12 lags fit PORT's span but not the common one
+        write_constituents(tmp_path / "constituents.csv", "2011-09", 30)
+        cfg = write_correlogram_config(tmp_path, market="PORT", members="A, B")
+        assert main(["describe", str(cfg)]) == 0
+        assert correlogram_curves(tmp_path / "out") == {
+            ("auto", "A"), ("auto", "B"), ("auto", "PORT"),
+        }
 
     def test_write_csv_cells_of_every_emitted_type(self, tmp_path):
         # floats, numpy's included, as their shortest round-trip decimal
