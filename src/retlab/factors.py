@@ -18,9 +18,9 @@ from .errors import (
     DegenerateVarianceError,
     InsufficientDataError,
     RetlabError,
-    SingularDesignError,
     ValidationError,
 )
+from .regression import check_full_rank, ols
 from .series import Panel, ReturnSeries
 
 
@@ -153,14 +153,15 @@ def scree(r: PcaResult) -> list[ScreeRow]:
 
 
 def factor_regression(s: ReturnSeries, scores: np.ndarray, k: int) -> FactorRegression:
-    """Regress a series on an intercept plus the first k score columns.
+    """Regress a series on an intercept plus the first k score columns,
+    by `retlab.regression.ols` once `check_full_rank` passes the design.
 
     Raises:
         ValidationError: k negative or exceeding the available components,
             or score rows not matching the series length.
         InsufficientDataError: n <= k + 1.
-        SingularDesignError: collinear score columns (cannot happen with
-            true principal-component scores; guards corrupted input).
+        SingularDesignError: collinear score columns, named (PC2, ...);
+            the scores of a panel of rank below k have them.
         DegenerateVarianceError: constant dependent series (R^2 undefined).
     """
     scores = np.asarray(scores, dtype=np.float64)
@@ -180,13 +181,9 @@ def factor_regression(s: ReturnSeries, scores: np.ndarray, k: int) -> FactorRegr
         raise InsufficientDataError(f"need n > k+1, got n={n}, k={k}")
     y = s.values
     design = np.column_stack([np.ones(n), scores[:, :k]])
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < k + 1:
-        raise SingularDesignError(
-            f"score columns are collinear (design rank {rank} < {k + 1})"
-        )
-    fitted = design @ coef
-    resid = y - fitted
+    check_full_rank(design, ["intercept"] + [f"PC{j}" for j in range(1, k + 1)])
+    _, coef, resid, _ = ols(design, y[:, None])
+    coef, resid = coef[:, 0], resid[:, 0]
     # np.ptp, not the sum of squares: a constant whose mean does not
     # round-trip leaves a float-noise sum of squares above zero
     if np.ptp(y) == 0:

@@ -842,7 +842,7 @@ class TestRiskWorkers:
         assert status == 1
         stage = json.loads(files["summary.json"])["stages"][1]
         assert stage["error"] == "; ".join(
-            f"{label} (residuals): score columns are collinear (design rank 2 < 3)"
+            f"{label} (residuals): collinear regressors: PC2"
             for label in "ABC"
         )
         rows = files["risk.csv"].decode().splitlines()[1:]

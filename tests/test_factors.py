@@ -215,7 +215,7 @@ class TestFactorRegression:
         col = rng.standard_normal(n)
         fake_scores = np.column_stack([col, col])
         s = ReturnSeries("s", TimeGrid(Month(2000, 1), n), rng.standard_normal(n))
-        with pytest.raises(SingularDesignError):
+        with pytest.raises(SingularDesignError, match="^collinear regressors: PC2$"):
             factor_regression(s, fake_scores, k=2)
 
     def test_constant_series_rejected(self):
