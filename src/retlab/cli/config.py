@@ -166,8 +166,7 @@ def _resolve_input(base: Path, raw: str | None, what: str) -> Path | None:
 
 
 def _risk_config(**keys) -> RiskConfig:
-    """RiskConfig from the [risk] keys given; one that is None, left out
-    of the file, keeps RiskConfig's default."""
+    """RiskConfig of the [risk] keys read; one left out (None) keeps its default."""
     return RiskConfig(**{name: value for name, value in keys.items() if value is not None})
 
 

@@ -153,8 +153,7 @@ def scree(r: PcaResult) -> list[ScreeRow]:
 
 
 def factor_regression(s: ReturnSeries, scores: np.ndarray, k: int) -> FactorRegression:
-    """Regress a series on an intercept plus the first k score columns,
-    by `retlab.regression.ols` once `check_full_rank` passes the design.
+    """Regress a series on an intercept plus the first k score columns.
 
     Raises:
         ValidationError: k negative or exceeding the available components,

@@ -1,10 +1,6 @@
-"""Ordinary least squares, the one estimator behind every regression the
-pipeline runs: VAR lag selection, fit, Granger tests and bootstrap
-refits, the unit-root regressions, and the regressions on principal
-components.
-
-`check_full_rank` finds a design's rank by pivoted QR and names the
-columns it cannot identify; `ols` then solves the normal equations.
+"""Ordinary least squares for every regression the pipeline runs: the VAR,
+the unit-root tests and the factor regressions. `check_full_rank` names
+the columns a design cannot identify; `ols` solves the normal equations.
 """
 
 from __future__ import annotations
@@ -18,9 +14,8 @@ from .errors import SingularDesignError
 def ols(design: np.ndarray, target: np.ndarray):
     """Normal-equation OLS of target (rows x equations) on design: inv(X'X),
     the coefficients, the residuals and the residual covariance over
-    rows - columns degrees of freedom. A 2-D design fits one model;
-    leading axes stack independent models, each with the same sums as
-    its own 2-D call.
+    rows - columns degrees of freedom. Leading axes stack independent
+    models, each with the same sums as its own 2-D call.
 
     Raises:
         numpy.linalg.LinAlgError: some X'X is exactly singular.
@@ -36,21 +31,15 @@ def ols(design: np.ndarray, target: np.ndarray):
 
 
 def check_full_rank(design: np.ndarray, names) -> None:
-    """Require full column rank of a 2-D design; names[i] names column i.
-
-    The rank counts the diagonal entries of the pivoted QR's R above
-    max|R_ii| * max(rows, columns) * eps. A design of full column rank
-    keeps it in any subset of its columns.
-
-    Raises:
-        SingularDesignError: rank below the column count; the message
-            names the columns the pivoting left past the rank.
+    """Raise SingularDesignError unless a 2-D design has full column rank,
+    naming (names[i] for column i) the columns a pivoted QR leaves past
+    the rank: the diagonal entries of R above max|R_ii| * max(rows,
+    columns) * eps. Full rank holds in any subset of the columns too.
     """
     r, pivots = qr(design, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = diag.max() * max(design.shape) * np.finfo(np.float64).eps
     rank = int(np.sum(diag > tol))
     if rank < design.shape[1]:
-        offending = sorted(int(i) for i in pivots[rank:])
-        names = ", ".join(names[i] for i in offending)
-        raise SingularDesignError(f"collinear regressors: {names}")
+        offending = ", ".join(names[i] for i in sorted(pivots[rank:]))
+        raise SingularDesignError(f"collinear regressors: {offending}")

@@ -2,11 +2,11 @@
 Phillips-Perron correction, and the KPSS level-stationarity statistic.
 
 All regressions include a constant and no trend, and are fit by
-`retlab.regression.ols`. ADF and PP p-values are
-interpolated from an embedded critical-value table for the constant-only
-case (levels 0.01..0.99), first in 1/n across tabulated sample sizes and
-then across levels; interpolated p-values are therefore bounded by the
-table's coverage, [0.01, 0.99].
+`retlab.regression.ols`. ADF and PP p-values are interpolated from an
+embedded critical-value table for the constant-only case (levels
+0.01..0.99), first in 1/n across tabulated sample sizes and then across
+levels; interpolated p-values are therefore bounded by the table's
+coverage, [0.01, 0.99].
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ def _adf(y: np.ndarray):
             best_bic = bic
             best_lag = lag
     design, target = build(best_lag, best_lag)
-    xtx_inv, coef, _, s2 = ols(design, target[:, None])
-    stat = float(coef[1, 0] / np.sqrt(s2[0, 0] * xtx_inv[1, 1]))
+    xtx_inv, coef, _, cov = ols(design, target[:, None])
+    stat = float(coef[1, 0] / np.sqrt(cov[0, 0] * xtx_inv[1, 1]))
     return stat, best_lag, len(target)
 
 
@@ -155,9 +155,8 @@ def _phillips_perron(y: np.ndarray, bandwidth: int):
     correlation correction."""
     design = np.column_stack([np.ones(len(y) - 1), y[:-1]])
     target = y[1:]
-    xtx_inv, coef, resid, s2 = ols(design, target[:, None])
-    resid = resid[:, 0]
-    s2 = float(s2[0, 0])
+    xtx_inv, coef, resid, cov = ols(design, target[:, None])
+    resid, s2 = resid[:, 0], float(cov[0, 0])
     se = math.sqrt(s2 * xtx_inv[1, 1])
     n_eff = len(target)
     t_rho = float((coef[1, 0] - 1.0) / se)

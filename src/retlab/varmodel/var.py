@@ -220,9 +220,7 @@ def select_lag(panel: Panel, p_max: int, criterion: str = "BIC") -> int:
     All candidate orders are scored on the common sample that excludes
     the first p_max observations, so their criteria are comparable; ties
     go to the smallest order. Order p's design is the first k*p + 1
-    columns of order p_max's on those rows, so one rank check of the
-    widest design covers every candidate, each then fit by `fit_var`'s
-    OLS.
+    columns of order p_max's, so one rank check covers every candidate.
 
     Raises:
         ValidationError: bad p_max or criterion.
