@@ -346,15 +346,13 @@ class TestSelectLag:
             rng = np.random.default_rng(234_000 + seed)
             k = int(rng.integers(1, 5))
             q = int(rng.integers(1, 4))
-            coefficients = [
-                (np.diag(rng.uniform(-0.6, 0.6, k)) + rng.uniform(-0.05, 0.05, (k, k))) / q
+            coefficients = np.stack([
+                np.diag(rng.uniform(-0.6, 0.6, k)) + rng.uniform(-0.05, 0.05, (k, k))
                 for _ in range(q)
-            ]
-            residual_cov = (0.7 * np.eye(k) + 0.3).tolist()
+            ]) / q
             panel = var_sample(
-                seed, int(rng.integers(80, 400)), np.array(coefficients).tolist(),
-                [0.1] * k, residual_cov,
-                labels=[f"s{j}" for j in range(k)],
+                seed, int(rng.integers(80, 400)), coefficients.tolist(), [0.1] * k,
+                (0.7 * np.eye(k) + 0.3).tolist(), labels=[f"s{j}" for j in range(k)],
             )
             for p_max in range(1, 7):
                 expected = lstsq_lag_pick(panel, p_max, criterion)
