@@ -238,8 +238,8 @@ def write_panel(path: Path, panel: Panel) -> list[str]:
     Returns the artifact file names.
     """
     header = ["date"] + list(panel.labels)
-    rows = [
-        [month] + values
-        for month, values in zip(panel.grid.labels(), panel.values.tolist())
-    ]
+    rows = (
+        [month, *values.tolist()]
+        for month, values in zip(panel.grid.labels(), panel.values)
+    )
     return write_csv(path, header, rows)

@@ -147,6 +147,31 @@ def _asset_series(records: list[ConstituentRecord]) -> list[ReturnSeries]:
     return out
 
 
+# ----------------------------------------------------------- figure rows
+# A figure file is written as its rows are made, one block of its arrays
+# (a series, a horizon) converted by `.tolist()` at a time, so no stage
+# holds a figure's rows, or a whole array as Python floats, in memory.
+
+
+def _series_rows(series):
+    """Rows [month, label, value] of each series in turn."""
+    for s in series:
+        for month, value in zip(s.grid.labels(), s.values.tolist()):
+            yield [month, s.label, value]
+
+
+def _horizon_rows(labels, *cubes):
+    """Rows [horizon, row label, column label, *cells] of (horizons, k, k)
+    arrays read side by side, one horizon at a time; a cube that is None
+    gives empty cells."""
+    absent = [[None] * len(labels)] * len(labels)
+    for h in range(len(cubes[0])):
+        blocks = [absent if cube is None else cube[h].tolist() for cube in cubes]
+        for row_label, *rows in zip(labels, *blocks):
+            for column_label, *cells in zip(labels, *rows):
+                yield [h, row_label, column_label, *cells]
+
+
 # ---------------------------------------------------------------- stages
 
 
@@ -159,8 +184,9 @@ def _stage_describe(ws: Workspace, config: RunConfig, out_dir: Path):
         "series", "mean", "sd", "skewness", "excess_kurtosis",
         "jarque_bera", "autocorr1", "n",
     ]
+    targets = _targets(ws)
     rows = []
-    for s in _targets(ws):
+    for s in targets:
         try:
             st = describe(s)
         except RetlabError as exc:
@@ -191,19 +217,8 @@ def _stage_describe(ws: Workspace, config: RunConfig, out_dir: Path):
                 cs_rows,
             )
 
-    fig_returns = []
-    fig_prices = []
     fig_correlogram = []
-    for s in _targets(ws):
-        fig_returns += [
-            [month, s.label, value]
-            for month, value in zip(s.grid.labels(), s.values.tolist())
-        ]
-        prices = cumulate_log_price(s)
-        fig_prices += [
-            [month, s.label, value]
-            for month, value in zip(prices.grid.labels(), prices.values.tolist())
-        ]
+    for s in targets:
         pairs = [("auto", s, s)]
         if ws.market is not None and s.label != ws.market.label:
             common = s.grid.intersect(ws.market.grid)
@@ -219,10 +234,12 @@ def _stage_describe(ws: Workspace, config: RunConfig, out_dir: Path):
         except RetlabError as exc:
             errors.append(f"{s.label}: {exc}")
     artifacts += write_csv(
-        out_dir / "fig_returns.csv", ["month", "series", "value"], fig_returns
+        out_dir / "fig_returns.csv", ["month", "series", "value"],
+        _series_rows(targets),
     )
     artifacts += write_csv(
-        out_dir / "fig_log_prices.csv", ["month", "series", "log_price"], fig_prices
+        out_dir / "fig_log_prices.csv", ["month", "series", "log_price"],
+        _series_rows(cumulate_log_price(s) for s in targets),
     )
     artifacts += write_csv(
         out_dir / "fig_correlogram.csv",
@@ -351,7 +368,7 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
 
     rows = []
     volatility = []  # (label, grid, conditional sds) per raw-return GARCH fit
-    density_rows = []
+    densities = []  # (label, x grid, mixture pdf, normal pdf) per mixture fit
     for (s, basis), (report, caught, error) in zip(jobs, results):
         for category, message in caught:
             warnings.warn(f"{s.label} ({basis}): {message}", category)
@@ -376,8 +393,7 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
             normal = np.exp(-0.5 * ((grid - mu) / sd) ** 2) / (
                 sd * np.sqrt(2 * np.pi)
             )
-            for x, m_val, n_val in zip(grid, mix, normal):
-                density_rows.append([s.label, x, m_val, n_val])
+            densities.append((s.label, grid, mix, normal))
     errors += [f"{label} (residuals): {error}" for label, error in sweep_errors.items()]
 
     artifacts += write_table(
@@ -385,8 +401,7 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
         ["series", "basis", "model", "fractile", "loss", "average_loss", "note"],
         rows,
     )
-    # the series mostly share one grid: label its months once, and make
-    # the rows as the file is written
+    # the series mostly share one grid: label its months once
     months = {grid: grid.labels() for grid in {grid for _, grid, _ in volatility}}
     vol_rows = (
         [month, label, sd]
@@ -399,7 +414,8 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
     )
     artifacts += write_csv(
         out_dir / "fig_fitted_density.csv",
-        ["series", "x", "mixture_pdf", "normal_pdf"], density_rows,
+        ["series", "x", "mixture_pdf", "normal_pdf"],
+        ([label, *cells] for label, *curves in densities for cells in zip(*curves)),
     )
     return artifacts, params, errors
 
@@ -479,35 +495,19 @@ def _stage_predict(ws: Workspace, config: RunConfig, out_dir: Path):
     )
 
     impulse = irf(fit, config.irf_horizon, n_boot=config.n_boot, seed=config.seed)
-    if impulse.lower is None:
-        lower = upper = np.full(impulse.responses.shape, None).tolist()
-    else:
-        lower, upper = impulse.lower.tolist(), impulse.upper.tolist()
-    irf_rows = [
-        [h, response, shock, value, low, up]
-        for h, by_response in enumerate(
-            zip(impulse.responses.tolist(), lower, upper)
-        )
-        for response, values, lows, ups in zip(impulse.labels, *by_response)
-        for shock, value, low, up in zip(impulse.labels, values, lows, ups)
-    ]
     artifacts += write_csv(
         out_dir / "fig_irf.csv",
-        ["horizon", "response", "shock", "value", "lower", "upper"], irf_rows,
+        ["horizon", "response", "shock", "value", "lower", "upper"],
+        _horizon_rows(impulse.labels, impulse.responses, impulse.lower, impulse.upper),
     )
     params["irf"] = {"seed": config.seed, "n_boot": config.n_boot,
                      "ordering": list(range(fit.width))}
 
     shares = fevd(fit, config.irf_horizon)
-    fevd_rows = [
-        [h, series, shock, share]
-        for h, by_series in enumerate(shares.shares.tolist())
-        for series, by_shock in zip(shares.labels, by_series)
-        for shock, share in zip(shares.labels, by_shock)
-    ]
     artifacts += write_csv(
         out_dir / "fig_fevd.csv",
-        ["horizon", "series", "shock", "share"], fevd_rows,
+        ["horizon", "series", "shock", "share"],
+        _horizon_rows(shares.labels, shares.shares),
     )
     return artifacts, params, []
 

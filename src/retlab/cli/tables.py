@@ -73,5 +73,8 @@ def write_table(
     with open(text_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(render_table(title, header, rows))
     csv_name = f"{name}.csv"
-    write_csv(out_dir / csv_name, header, [[None if _is_missing(v) else v for v in row] for row in rows])
+    write_csv(
+        out_dir / csv_name, header,
+        ([None if _is_missing(v) else v for v in row] for row in rows),
+    )
     return [f"{name}.txt", csv_name]
