@@ -532,10 +532,13 @@ def irf(fit: VarFit, h: int, n_boot: int = 1000, seed: int = 0) -> IrfResult:
             np.abs(np.subtract(thetas, point, out=out), out=out)
 
         def take_quantile(cells):
-            # each cell's quantile reads only that cell's deviations
+            # each cell's quantile reads only that cell's deviations; a
+            # sort in place is faster than the quantile's own partition
+            # of the strided cells, and gives it the same order statistics
+            share = deviations.reshape(n_boot, -1)[:, cells]
+            share.sort(axis=0)
             band.reshape(-1)[cells] = np.quantile(
-                deviations.reshape(n_boot, -1)[:, cells], _COVERAGE, axis=0,
-                overwrite_input=True,
+                share, _COVERAGE, axis=0, overwrite_input=True
             )
 
         edges = np.linspace(0, band.size, shards + 1).astype(int).tolist()
