@@ -119,6 +119,8 @@ def _adf(y: np.ndarray):
 
     Lag orders are compared on a common sample (the longest the maximum
     lag allows), then the chosen order is refit on its own full sample.
+    Lag L's design on the common sample is the first L + 2 columns of the
+    maximum lag's, so that design is built once.
     """
     n = len(y)
     dy = np.diff(y)
@@ -133,12 +135,12 @@ def _adf(y: np.ndarray):
             cols.append(dy[rows - j])
         return np.column_stack(cols), dy[rows]
 
+    widest, target = build(max_lag, max_lag)
+    n_sel = len(target)
     best_lag = 0
     best_bic = math.inf
     for lag in range(max_lag + 1):
-        design, target = build(lag, max_lag)
-        resid = ols(design, target[:, None])[2][:, 0]
-        n_sel = len(target)
+        resid = ols(widest[:, : lag + 2], target[:, None])[2][:, 0]
         ssr = float(resid @ resid)
         bic = n_sel * math.log(ssr / n_sel) + (lag + 2) * math.log(n_sel)
         if bic < best_bic:

@@ -31,7 +31,8 @@ from retlab.varmodel import (
     select_lag,
     unit_root_tests,
 )
-from retlab.varmodel.unitroot import _dickey_fuller_p_value
+from retlab.regression import ols
+from retlab.varmodel.unitroot import _adf, _dickey_fuller_p_value
 from retlab.varmodel.var import _BOOT_BLOCK, _bootstrap_fits, _bootstrap_panels
 
 
@@ -111,6 +112,32 @@ def _companion(coeff):
     return np.vstack([top, below])
 
 
+def column_stack_adf(y):
+    """`_adf` as it was written before its lag search shared one design:
+    every candidate lag's design is built on its own by `column_stack`."""
+    dy = np.diff(y)
+    max_lag = max(min(int(12.0 * (len(y) / 100.0) ** 0.25), len(dy) - 10), 0)
+
+    def build(lag, start):
+        rows = np.arange(start, len(dy))
+        cols = [np.ones(len(rows)), y[rows]]
+        for j in range(1, lag + 1):
+            cols.append(dy[rows - j])
+        return np.column_stack(cols), dy[rows]
+
+    best_lag, best_bic = 0, math.inf
+    for lag in range(max_lag + 1):
+        design, target = build(lag, max_lag)
+        resid = ols(design, target[:, None])[2][:, 0]
+        n_sel = len(target)
+        bic = n_sel * math.log(float(resid @ resid) / n_sel) + (lag + 2) * math.log(n_sel)
+        if bic < best_bic:
+            best_bic, best_lag = bic, lag
+    design, target = build(best_lag, best_lag)
+    xtx_inv, coef, _, cov = ols(design, target[:, None])
+    return float(coef[1, 0] / np.sqrt(cov[0, 0] * xtx_inv[1, 1])), best_lag, len(target)
+
+
 class TestUnitRoot:
     def test_stationary_series_rejects_unit_root(self):
         rng = np.random.default_rng(101)
@@ -164,6 +191,22 @@ class TestUnitRoot:
         s2 = (resid @ resid) / (len(rows) - design.shape[1])
         se = math.sqrt(s2 * np.linalg.inv(design.T @ design)[1, 1])
         assert report.adf_stat == pytest.approx(coef[1] / se, abs=1e-10)
+
+    def test_adf_lag_search_is_bit_equal_to_separate_designs(self):
+        # each candidate's design is a column block of the widest one; as
+        # a strided view it must give the bits of its own contiguous copy
+        rng = np.random.default_rng(107)
+        for i in range(400):
+            n = int(rng.integers(30, 801))
+            shocks = rng.standard_normal(n)
+            kind = i % 3
+            if kind == 0:
+                y = np.cumsum(shocks)
+            elif kind == 1:
+                y = shocks
+            else:
+                y = ar1_values(rng, n, rho=0.9)
+            assert _adf(y) == column_stack_adf(y), (kind, n)
 
     def test_pp_statistic_replicates_direct_formula(self):
         rng = np.random.default_rng(103)
