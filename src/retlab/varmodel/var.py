@@ -503,6 +503,8 @@ def irf(fit: VarFit, h: int, n_boot: int = 1000, seed: int = 0) -> IrfResult:
     time, each refit as `fit_var` fits its panel, whatever the number of
     workers.
 
+    Warns (RuntimeWarning) when the fit is unstable, as `forecast` does.
+
     Raises:
         ValidationError: h < 0 or n_boot < 0.
         DecompositionError: residual covariance not positive definite.
@@ -513,6 +515,12 @@ def irf(fit: VarFit, h: int, n_boot: int = 1000, seed: int = 0) -> IrfResult:
         raise ValidationError(f"horizon must be >= 0, got {h}")
     if n_boot < 0:
         raise ValidationError(f"n_boot must be >= 0, got {n_boot}")
+    if not fit.stable:
+        warnings.warn(
+            "impulse responses of an unstable VAR: they may grow with the horizon",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     point = _orthogonal_responses(fit.coeff, fit.residual_cov, h)
     lower = upper = None
     if n_boot > 0:
@@ -563,7 +571,8 @@ def irf(fit: VarFit, h: int, n_boot: int = 1000, seed: int = 0) -> IrfResult:
 
 def fevd(fit: VarFit, h: int) -> FevdResult:
     """Forecast-error variance decomposition for horizons 1..h, with the
-    shocks Cholesky-ordered as the fitted panel's columns.
+    shocks Cholesky-ordered as the fitted panel's columns. Warns
+    (RuntimeWarning) when the fit is unstable, as `forecast` does.
 
     Raises:
         ValidationError: h < 1.
@@ -571,6 +580,13 @@ def fevd(fit: VarFit, h: int) -> FevdResult:
     """
     if h < 1:
         raise ValidationError(f"horizon must be >= 1, got {h}")
+    if not fit.stable:
+        warnings.warn(
+            "variance decomposition of an unstable VAR: the forecast-error "
+            "variances may diverge",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     thetas = _orthogonal_responses(fit.coeff, fit.residual_cov, h - 1)
     squared = np.cumsum(thetas**2, axis=0)
     shares = squared / squared.sum(axis=2, keepdims=True)

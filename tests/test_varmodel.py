@@ -627,6 +627,22 @@ class TestIrf:
             result.responses[0], np.linalg.cholesky(swapped.residual_cov), atol=1e-12
         )
 
+    def test_unstable_fit_warns_in_irf_and_fevd(self):
+        # an explosive root of 1.05 on the first series
+        fit = manual_var_fit([[[1.05, 0.0], [0.2, 0.5]]], [[1.0, 0.3], [0.3, 1.0]])
+        assert not fit.stable
+        with pytest.warns(RuntimeWarning, match="unstable VAR"):
+            result = irf(fit, 40, n_boot=0)
+        assert abs(result.responses[40, 0, 0]) > abs(result.responses[0, 0, 0])
+        with pytest.warns(RuntimeWarning, match="unstable VAR"):
+            shares = fevd(fit, 40)
+        assert shares.shares.shape == (40, 2, 2)
+        stable = manual_var_fit([[[0.5, 0.0], [0.2, 0.5]]], [[1.0, 0.3], [0.3, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            irf(stable, 40, n_boot=0)
+            fevd(stable, 40)
+
     def test_validation_and_decomposition_errors(self):
         panel = var_sample(275, 300, A_TRUE, C_TRUE, COV_TRUE)
         fit = fit_var(panel, 1)
