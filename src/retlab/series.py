@@ -122,11 +122,6 @@ class TimeGrid:
             raise KeyError(f"{month} not in grid {self.span()}")
         return offset
 
-    def at(self, i: int) -> Month:
-        if not 0 <= i < self.length:
-            raise IndexError(f"grid index {i} out of range 0..{self.length - 1}")
-        return self.start + i
-
     def span(self) -> str:
         return f"{self.start}..{self.end}"
 
