@@ -4,8 +4,10 @@ stable VAR processes, and factor-structured panels.
 Every generator draws from one `numpy.random.default_rng(seed)` stream
 (PCG64). The stream algorithm and the order of draws are part of the
 contract: the same spec yields bit-identical output on every run and at any
-worker count. Generation recursions mirror the corresponding fitters' model
-equations exactly.
+worker count. The VAR generator's recursion and stability check are the
+ones `retlab.varmodel` forecasts and bootstraps with (they live here, as
+this module imports no scipy); the other generators follow their fitters'
+model equations exactly.
 """
 
 from __future__ import annotations
@@ -219,35 +221,45 @@ def _gen_var(params: Mapping[str, Any], n: int, rng: np.random.Generator) -> np.
     except np.linalg.LinAlgError as exc:
         raise ValidationError("residual_cov is not positive definite") from exc
     burn = int(_param(params, "burn", 200))
-    if p > 0:
-        companion = _companion(coeffs)
-        radius = np.max(np.abs(np.linalg.eigvals(companion)))
-        if radius >= 1.0 - 1e-10:
-            raise ValidationError(
-                f"coefficient matrices are not stable (spectral radius {radius:.6f})"
-            )
-        mean = np.linalg.solve(np.eye(k) - coeffs.sum(axis=0), intercept)
-    else:
-        mean = intercept.copy()
-    total = n + burn
-    shocks = rng.standard_normal((total, k)) @ chol.T
-    y = np.empty((total + p, k))
-    y[:p] = mean  # start at the unconditional mean; burn-in washes this out
-    for t in range(total):
-        acc = intercept + shocks[t]
-        for i in range(p):
-            acc = acc + coeffs[i] @ y[p + t - 1 - i]
-        y[p + t] = acc
-    return y[p + burn :]
+    radius = _companion_spectral_radius(coeffs)
+    if radius >= 1.0 - 1e-10:
+        raise ValidationError(
+            f"coefficient matrices are not stable (spectral radius {radius:.6f})"
+        )
+    # start at the unconditional mean; burn-in washes this out
+    y = np.empty((n + burn + p, k))
+    y[:p] = np.linalg.solve(np.eye(k) - coeffs.sum(axis=0), intercept)
+    shocks = rng.standard_normal((n + burn, k)) @ chol.T
+    return _simulate(coeffs, intercept, y, shocks)[p + burn :]
 
 
-def _companion(coeffs: np.ndarray) -> np.ndarray:
-    p, k, _ = coeffs.shape
+def _companion_spectral_radius(coeff: np.ndarray) -> float:
+    """Largest |eigenvalue| of coeff (p, k, k)'s companion matrix; 0 at p = 0."""
+    p, k, _ = coeff.shape
+    if p == 0:
+        return 0.0
     companion = np.zeros((k * p, k * p))
-    companion[:k] = np.concatenate(list(coeffs), axis=1)
+    companion[:k] = np.hstack([coeff[l] for l in range(p)])
     if p > 1:
-        companion[k:, : k * (p - 1)] = np.eye(k * (p - 1))
-    return companion
+        companion[k:, :-k] = np.eye(k * (p - 1))
+    return float(np.max(np.abs(np.linalg.eigvals(companion))))
+
+
+def _simulate(coeff, intercept, y, shocks):
+    """Fill rows p.. of y (..., n, k) in place from its first p rows by
+    the VAR(p) recursion, and return y: row t is intercept + shocks[...,
+    t - p, :], plus coeff[l - 1] @ y_{t-l} for l = 1..p in that order.
+    Leading axes stack independent paths. Each product is a stacked
+    (k,k) @ (k,1) matmul, one gemv per path, so a path gets the same bits
+    however many are stacked with it; one gemm would sum in another order.
+    """
+    p = coeff.shape[0]
+    for t in range(p, y.shape[-2]):
+        row = intercept + shocks[..., t - p, :]
+        for lag in range(1, p + 1):
+            row = row + np.matmul(coeff[lag - 1], y[..., t - lag, :, None])[..., 0]
+        y[..., t, :] = row
+    return y
 
 
 def _gen_factor_panel(params: Mapping[str, Any], n: int, rng: np.random.Generator) -> np.ndarray:

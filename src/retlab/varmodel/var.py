@@ -31,6 +31,7 @@ from ..errors import (
 )
 from ..regression import check_full_rank, ols
 from ..series import Panel
+from ..synth import _companion_spectral_radius, _simulate
 
 _CRITERIA = ("AIC", "BIC")
 # the coverage of irf's bootstrap bands
@@ -203,17 +204,6 @@ def _lag_names(labels, p: int) -> list[str]:
     ]
 
 
-def _companion_spectral_radius(coeff: np.ndarray) -> float:
-    p, k, _ = coeff.shape
-    if p == 0:
-        return 0.0
-    companion = np.zeros((k * p, k * p))
-    companion[:k] = np.hstack([coeff[l] for l in range(p)])
-    if p > 1:
-        companion[k:, :-k] = np.eye(k * (p - 1))
-    return float(np.max(np.abs(np.linalg.eigvals(companion))))
-
-
 def select_lag(panel: Panel, p_max: int, criterion: str = "BIC") -> int:
     """Pick the VAR order in 1..p_max by information criterion.
 
@@ -367,7 +357,8 @@ def _ma_coefficients(coeff: np.ndarray, count: int) -> np.ndarray:
 
 def forecast(fit: VarFit, h: int, history: Panel | None = None) -> ForecastPath:
     """Iterate the fitted VAR h steps past the end of `history` (the
-    fitting panel when omitted).
+    fitting panel when omitted): the recursion of `retlab.synth`'s VAR
+    generator with zero shocks, from history's last p rows.
 
     Raises:
         ValidationError: h < 1.
@@ -393,14 +384,9 @@ def forecast(fit: VarFit, h: int, history: Panel | None = None) -> ForecastPath:
             stacklevel=2,
         )
     k = fit.width
-    buffer = [values[i] for i in range(-fit.p, 0)] if fit.p else []
-    point = np.empty((h, k))
-    for step in range(h):
-        nxt = fit.intercept.copy()
-        for lag in range(1, fit.p + 1):
-            nxt += fit.coeff[lag - 1] @ buffer[-lag]
-        point[step] = nxt
-        buffer.append(nxt)
+    path = np.empty((fit.p + h, k))
+    path[: fit.p] = values[len(values) - fit.p :]
+    point = _simulate(fit.coeff, fit.intercept, path, np.zeros((h, k)))[fit.p :]
     psis = _ma_coefficients(fit.coeff, h)
     mse = np.zeros((k, k))
     std_err = np.empty((h, k))
@@ -429,8 +415,10 @@ def _bootstrap_panels(fit: VarFit, children) -> np.ndarray:
     """One rebuilt panel per bootstrap replicate, (replicates, n, k).
 
     Replicate r resamples fit's residuals with the generator seeded by
-    children[r] and runs them through the fitted VAR from the observed
-    first p rows.
+    children[r]. All replicates' draws then run through the fitted VAR
+    together, from the observed first p rows, by the recursion of
+    `retlab.synth`'s VAR generator, which gives each replicate the bits
+    of running it alone.
     """
     values = fit.panel.values
     n, k = values.shape
@@ -442,16 +430,7 @@ def _bootstrap_panels(fit: VarFit, children) -> np.ndarray:
         draws[r] = fit.residuals[rng.integers(0, rows, size=rows)]
     y_star = np.empty((len(children), n, k))
     y_star[:, :p] = values[:p]
-    for t in range(p, n):
-        acc = fit.intercept + draws[:, t - p]
-        for lag in range(1, p + 1):
-            # a stacked (k,k) @ (k,1) product runs one gemv per replicate,
-            # as the one-replicate recursion does; one gemm over all
-            # replicates would sum in another order and move the bands
-            step = np.matmul(fit.coeff[lag - 1], y_star[:, t - lag, :, None])
-            acc = acc + step[:, :, 0]
-        y_star[:, t] = acc
-    return y_star
+    return _simulate(fit.coeff, fit.intercept, y_star, draws)
 
 
 def _bootstrap_fits(fit: VarFit, children, first: int):

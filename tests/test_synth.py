@@ -1,8 +1,14 @@
 """Generator determinism, large-sample laws, and parameter validation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import retlab
 from retlab.errors import ValidationError
 from retlab.series import Month, Panel, ReturnSeries
 from retlab.synth import GeneratorSpec, generate
@@ -146,6 +152,54 @@ class TestVarGenerator:
                     "residual_cov": [[1.0]],
                 },
             ))
+
+    def test_path_is_bit_equal_to_a_one_row_loop(self):
+        # the generator's recursion as a plain loop over rows, each lag a
+        # 1-d matrix-vector product, from the unconditional mean
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            k = int(rng.integers(1, 6))
+            p = int(rng.integers(0, 4))
+            coeffs = rng.normal(size=(p, k, k)) * 0.3 / k
+            root = rng.normal(size=(k, k))
+            cov = root @ root.T + k * np.eye(k)
+            intercept = rng.normal(size=k)
+            n, burn = int(rng.integers(1, 80)), int(rng.integers(0, 30))
+            seed = int(rng.integers(2**32))
+            panel = generate(GeneratorSpec(
+                "var", n=n, seed=seed,
+                parameters={
+                    "intercept": intercept.tolist(),
+                    "coefficients": coeffs.tolist(),
+                    "residual_cov": cov.tolist(),
+                    "burn": burn,
+                },
+            ))
+            shocks = (
+                np.random.default_rng(seed).standard_normal((n + burn, k))
+                @ np.linalg.cholesky(cov).T
+            )
+            y = np.empty((n + burn + p, k))
+            y[:p] = np.linalg.solve(np.eye(k) - coeffs.sum(axis=0), intercept)
+            for t in range(n + burn):
+                acc = intercept + shocks[t]
+                for i in range(p):
+                    acc = acc + coeffs[i] @ y[p + t - 1 - i]
+                y[p + t] = acc
+            assert np.array_equal(panel.values, y[p + burn :]), (k, p)
+
+    def test_import_loads_no_scipy(self):
+        # forecast and the IRF bootstrap import the VAR recursion from
+        # here; generating data must not pay for scipy's import
+        package_root = str(Path(retlab.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, retlab.synth; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestFactorPanelGenerator:

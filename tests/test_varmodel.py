@@ -553,6 +553,20 @@ class TestForecast:
         same = forecast(fit, 3, history=tail)
         np.testing.assert_allclose(same.point, forecast(fit, 3).point, atol=1e-12)
 
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_point_path_is_bit_equal_to_a_per_step_loop(self, p):
+        panel = var_sample(264, 300, A_TRUE, C_TRUE, COV_TRUE)
+        fit = fit_var(panel, p)
+        buffer = list(panel.values[len(panel.values) - p :])
+        expected = []
+        for _ in range(12):
+            nxt = fit.intercept.copy()
+            for lag in range(1, p + 1):
+                nxt += fit.coeff[lag - 1] @ buffer[-lag]
+            expected.append(nxt)
+            buffer.append(nxt)
+        assert np.array_equal(forecast(fit, 12).point, expected)
+
     def test_unstable_fit_warns_but_forecasts(self):
         fit = manual_var_fit([[[1.05]]], [[1.0]], labels=("a",))
         assert not fit.stable
