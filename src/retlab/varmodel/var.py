@@ -518,15 +518,24 @@ def irf(fit: VarFit, h: int, n_boot: int = 1000, seed: int = 0) -> IrfResult:
             out = deviations[block]
             np.abs(np.subtract(thetas, point, out=out), out=out)
 
+        # np.quantile's linear method: the band lies between order
+        # statistics `below` and `above` of each cell, at fraction `gamma`
+        below = int((n_boot - 1) * _COVERAGE)
+        above = min(below + 1, n_boot - 1)
+        gamma = (n_boot - 1) * _COVERAGE - below
+
         def take_quantile(cells):
-            # each cell's quantile reads only that cell's deviations; a
-            # sort in place is faster than the quantile's own partition
-            # of the strided cells, and gives it the same order statistics
+            # each cell reads only its own deviations: sort them in place
+            # and interpolate as numpy's _lerp does, which on deviations
+            # without NaN is bit-equal to np.quantile and skips its
+            # partition of the sorted cells
             share = deviations.reshape(n_boot, -1)[:, cells]
             share.sort(axis=0)
-            band.reshape(-1)[cells] = np.quantile(
-                share, _COVERAGE, axis=0, overwrite_input=True
-            )
+            low, high = share[below], share[above]
+            if gamma >= 0.5:
+                band.reshape(-1)[cells] = high - (high - low) * (1 - gamma)
+            else:
+                band.reshape(-1)[cells] = low + (high - low) * gamma
 
         edges = np.linspace(0, band.size, shards + 1).astype(int).tolist()
         workers.map_phases(
