@@ -340,23 +340,27 @@ def _risk_params(report) -> dict:
     return out
 
 
-def _risk_job(job):
-    """Fit one risk job, a (series, risk config) pair, capturing its
-    warnings.
+def _captured(func, *args):
+    """Call ``func(*args)``, recording every warning it raises.
 
-    Returns ``(report, warnings, error)``: `warnings` is the list of
-    ``(category, message)`` pairs the fits raised, in order, and exactly
-    one of `report` and `error` (the `RetlabError` text) is None. Runs in
-    a forked worker (`retlab.workers`) or in the stage's own process.
+    Returns ``(result, warnings, error)``: `warnings` is the list of
+    ``(category, message)`` pairs raised, in order, and exactly one of
+    `result` and `error` (the `RetlabError` text) is None.
     """
-    s, risk_config = job
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            report, error = risk_report(s, risk_config), None
+            result, error = func(*args), None
         except RetlabError as exc:
-            report, error = None, str(exc)
-    return report, [(w.category, str(w.message)) for w in caught], error
+            result, error = None, str(exc)
+    return result, [(w.category, str(w.message)) for w in caught], error
+
+
+def _risk_job(job):
+    """Fit one risk job, a (series, risk config) pair, by `_captured`.
+    Runs in a forked worker (`retlab.workers`) or in the stage's own
+    process."""
+    return _captured(risk_report, *job)
 
 
 def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
@@ -574,17 +578,11 @@ def _jsonable(value):
 def _run_stage(outcome: StageOutcome, func, *args):
     """Run one stage, recording its warnings and any `RetlabError` in
     `outcome`; returns the stage's result, or None if it raised."""
-    result = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result = func(*args)
-        except RetlabError as exc:
-            outcome.status = "error"
-            outcome.error = str(exc)
-    outcome.warnings = [
-        f"{w.category.__name__}: {w.message}" for w in caught
-    ]
+    result, caught, error = _captured(func, *args)
+    if error is not None:
+        outcome.status = "error"
+        outcome.error = error
+    outcome.warnings = [f"{category.__name__}: {message}" for category, message in caught]
     return result
 
 
