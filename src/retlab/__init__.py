@@ -13,6 +13,7 @@ from .series import (
     Month,
     Panel,
     ReturnSeries,
+    Series,
     TimeGrid,
     align,
     build_value_weighted_index,
@@ -28,6 +29,7 @@ __all__ = [
     "Month",
     "Panel",
     "ReturnSeries",
+    "Series",
     "TimeGrid",
     "align",
     "build_value_weighted_index",

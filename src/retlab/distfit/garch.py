@@ -32,7 +32,7 @@ from ..errors import (
     InsufficientDataError,
     ValidationError,
 )
-from ..series import ReturnSeries
+from ..series import Series
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _PERSISTENCE_CAP = 1.0 - 1e-6  # alpha + beta stays strictly below 1
@@ -246,7 +246,7 @@ def _raw_gradient(raw, natural_grad):
 _STARTS = ((0.05, 0.90), (0.10, 0.80), (0.02, 0.40), (1e-3, 1e-3))
 
 
-def fit_garch11(s: ReturnSeries) -> GarchFit:
+def fit_garch11(s: Series) -> GarchFit:
     """Quasi-MLE GARCH(1,1) fit from several deterministic starts.
 
     Raises:
@@ -348,7 +348,7 @@ class ArchLmResult:
             raise ValidationError(f"p-value {self.p_value} outside [0,1]")
 
 
-def arch_lm_test(s: ReturnSeries, lags: int = 12) -> ArchLmResult:
+def arch_lm_test(s: Series, lags: int = 12) -> ArchLmResult:
     """LM test of no ARCH effects up to the given lag order.
 
     Raises:

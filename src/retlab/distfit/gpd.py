@@ -24,7 +24,7 @@ from ..errors import (
     InsufficientTailError,
     ValidationError,
 )
-from ..series import ReturnSeries
+from ..series import Series
 
 _XI_SMALL = 1e-5  # below this, use series expansions around xi = 0
 # per-exceedance score norm in (shape, log scale): the polish's goal, and
@@ -169,7 +169,7 @@ def _newton_polish(xi, t, y, max_steps=40):
     return xi, math.exp(t), ll, score
 
 
-def fit_gpd_pot(losses: ReturnSeries, threshold_quantile: float = 0.90) -> GpdFit:
+def fit_gpd_pot(losses: Series, threshold_quantile: float = 0.90) -> GpdFit:
     """Fit a GPD to the exceedances of a loss series over an empirical
     threshold quantile.
 

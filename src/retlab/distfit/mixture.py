@@ -22,7 +22,7 @@ from scipy.optimize import Bounds, minimize
 from scipy.special import logsumexp, ndtr
 
 from ..errors import DegenerateVarianceError, InsufficientDataError, ValidationError
-from ..series import ReturnSeries
+from ..series import Series
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -381,7 +381,7 @@ def _fit_k(x: np.ndarray, k: int) -> MixtureFit:
     )
 
 
-def fit_mixture_em(s: ReturnSeries, k_max: int = 3) -> MixtureFit:
+def fit_mixture_em(s: Series, k_max: int = 3) -> MixtureFit:
     """Fit mixtures with 1..k_max components and return the BIC minimizer.
 
     Raises:

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .regression import check_full_rank, ols
-from .series import Panel, ReturnSeries
+from .series import Panel, Series
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class FactorRegression:
 
     loadings_on_pc1/pc2 are the slope coefficients on the first two scores
     (None when k is too small to include them). Residuals keep the original
-    label and have mean zero by construction.
+    label and have mean zero by construction, and obey no return floor.
     """
 
     k: int
@@ -84,7 +84,7 @@ class FactorRegression:
     loadings_on_pc2: float | None
     r_square: float
     adj_r_square: float
-    residuals: ReturnSeries
+    residuals: Series
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
@@ -152,7 +152,7 @@ def scree(r: PcaResult) -> list[ScreeRow]:
     ]
 
 
-def factor_regression(s: ReturnSeries, scores: np.ndarray, k: int) -> FactorRegression:
+def factor_regression(s: Series, scores: np.ndarray, k: int) -> FactorRegression:
     """Regress a series on an intercept plus the first k score columns.
 
     Raises:
@@ -199,7 +199,7 @@ def factor_regression(s: ReturnSeries, scores: np.ndarray, k: int) -> FactorRegr
         loadings_on_pc2=float(coef[2]) if k >= 2 else None,
         r_square=r2,
         adj_r_square=adj,
-        residuals=ReturnSeries(s.label, s.grid, resid),
+        residuals=Series(s.label, s.grid, resid),
         coefficients=coef,
     )
 

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .factors import residual_panel
-from .series import Panel, ReturnSeries
+from .series import Panel, Series
 
 MODELS = ("EM", "GPD", "GARCH")
 GARCH_CONDITIONINGS = ("one-step", "unconditional")
@@ -253,7 +253,7 @@ def average_loss(
     return _query(1, model, p, garch_conditioning)
 
 
-def _fit_all(losses: ReturnSeries, config: RiskConfig):
+def _fit_all(losses: Series, config: RiskConfig):
     fits: dict = dict.fromkeys(MODELS)
     errors: dict = {}
     # built per call, so that each fitter is looked up as a module global
@@ -270,10 +270,10 @@ def _fit_all(losses: ReturnSeries, config: RiskConfig):
 
 
 def risk_jobs(
-    targets: list[ReturnSeries], panel: Panel, n_factors: int
-) -> tuple[list[tuple[ReturnSeries, str]], dict[str, str]]:
+    targets: list[Series], panel: Panel, n_factors: int
+) -> tuple[list[tuple[Series, str]], dict[str, str]]:
     """The (series, basis) pairs of a risk stage, and the residual
-    sweep's error text by panel member.
+    sweep's error text by panel member; residuals are plain `Series`.
 
     Every target is a "raw-returns" job. When the panel is wider than
     n_factors, each member's residual after its first n_factors
@@ -294,15 +294,15 @@ def risk_jobs(
     return jobs, failed
 
 
-def risk_report(s: ReturnSeries, config: RiskConfig | None = None) -> RiskReport:
+def risk_report(s: Series, config: RiskConfig | None = None) -> RiskReport:
     """Fit all three loss models to a series and tabulate loss fractiles
     and average losses at every configured fractile.
 
-    The series is negated internally (losses).
+    The series is negated internally into a plain `Series` of losses.
     """
     if config is None:
         config = RiskConfig()
-    losses = ReturnSeries(s.label, s.grid, -s.values)
+    losses = Series(s.label, s.grid, -s.values)
     fits, fit_errors = _fit_all(losses, config)
     cells = []
     for model in MODELS:

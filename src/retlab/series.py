@@ -1,10 +1,12 @@
-"""Monthly time grids, return and log-price series, panels, and value-weighted
-index construction.
+"""Monthly time grids, series, panels, and value-weighted index construction.
 
 Conventions used throughout the package:
 
 * Time is a contiguous monthly grid. Missing interior months are rejected at
   ingestion; no container ever holds a gap.
+* A `Series` holds finite values on a grid. Losses and factor residuals are
+  plain `Series`; a `ReturnSeries` adds the -100 % floor, and every return
+  from outside (ingest, synth, the value-weighted index) is one.
 * Returns are simple returns in percent per month. A value of 1.0 means +1%.
 * All containers are immutable after construction and every operation here is
   a pure function, so concurrent use on distinct inputs is safe.
@@ -14,8 +16,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -143,22 +145,15 @@ class TimeGrid:
         return TimeGrid(Month.from_ordinal(lo), hi - lo + 1)
 
 
-def _as_readonly_vector(values: Sequence[float] | np.ndarray, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 1:
-        raise ValidationError(f"{what} must be one-dimensional, got shape {arr.shape}")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
-class ReturnSeries:
-    """A labelled series of monthly simple returns in percent.
+class Series:
+    """A labelled series of finite monthly values: returns, losses, factor
+    residuals or log prices.
 
     Attributes:
         label: display name, also the join key in panels.
         grid: the contiguous monthly grid the values sit on.
-        values: one return per grid month, percent units, each > -100.
+        values: one finite value per grid month, held as a read-only copy.
     """
 
     label: str
@@ -166,7 +161,13 @@ class ReturnSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_readonly_vector(self.values, f"values of {self.label!r}")
+        arr = np.array(self.values, dtype=np.float64, copy=True)
+        if arr.ndim != 1:
+            raise ValidationError(
+                f"values of {self.label!r} must be one-dimensional, "
+                f"got shape {arr.shape}"
+            )
+        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         if len(arr) != self.grid.length:
             raise ValidationError(
@@ -175,70 +176,63 @@ class ReturnSeries:
             )
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"series {self.label!r} contains non-finite values")
-        if np.any(arr <= -100.0):
-            raise ValidationError(
-                f"series {self.label!r} contains a simple return <= -100%"
-            )
 
     def __len__(self) -> int:
         return self.grid.length
 
-    def restrict(self, grid: TimeGrid) -> "ReturnSeries":
-        """Copy of the series truncated to `grid`, which must lie within."""
+    def restrict(self, grid: TimeGrid) -> "Series":
+        """Same-type copy truncated to `grid`, which must lie within."""
         lo = self.grid.index(grid.start)
-        return ReturnSeries(self.label, grid, self.values[lo : lo + grid.length])
+        return replace(self, grid=grid, values=self.values[lo : lo + grid.length])
 
-    def relabel(self, label: str) -> "ReturnSeries":
-        return ReturnSeries(label, self.grid, self.values)
+    def relabel(self, label: str) -> "Series":
+        return replace(self, label=label)
 
 
 @dataclass(frozen=True)
-class LogPriceSeries:
+class ReturnSeries(Series):
+    """A series of monthly simple returns in percent, each > -100."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if np.any(self.values <= -100.0):
+            raise ValidationError(
+                f"series {self.label!r} contains a simple return <= -100%"
+            )
+
+
+@dataclass(frozen=True)
+class LogPriceSeries(Series):
     """Natural log of an index level, one value per month.
 
     The first value always equals log(base_level); later values accumulate
     log growth. Produced by `cumulate_log_price`.
     """
 
-    label: str
-    grid: TimeGrid
-    values: np.ndarray
     base_level: float = 1.0
 
     def __post_init__(self) -> None:
-        arr = _as_readonly_vector(self.values, f"log prices of {self.label!r}")
-        object.__setattr__(self, "values", arr)
-        if len(arr) != self.grid.length:
-            raise ValidationError(
-                f"log-price series {self.label!r}: {len(arr)} values on a "
-                f"{self.grid.length}-month grid"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(
-                f"log-price series {self.label!r} contains non-finite values"
-            )
+        super().__post_init__()
         if self.base_level <= 0:
             raise ValidationError(f"base level must be positive, got {self.base_level}")
-        if abs(arr[0] - math.log(self.base_level)) > 1e-12:
+        if abs(self.values[0] - math.log(self.base_level)) > 1e-12:
             raise ValidationError(
-                f"log-price series {self.label!r}: first value {arr[0]} does not "
-                f"equal log(base level) = {math.log(self.base_level)}"
+                f"log-price series {self.label!r}: first value {self.values[0]} "
+                f"does not equal log(base level) = {math.log(self.base_level)}"
             )
-
-    def __len__(self) -> int:
-        return self.grid.length
 
 
 @dataclass(frozen=True)
 class Panel:
-    """An ordered collection of return series sharing one grid.
+    """An ordered collection of series sharing one grid: returns, or the
+    factor residuals of returns.
 
     Attributes:
-        series: at least one ReturnSeries, all on the identical grid,
-            labels unique.
+        series: at least one Series, all on the identical grid, labels
+            unique.
     """
 
-    series: tuple[ReturnSeries, ...]
+    series: tuple[Series, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "series", tuple(self.series))
@@ -270,7 +264,7 @@ class Panel:
 
     @property
     def values(self) -> np.ndarray:
-        """Time-by-series matrix of returns (rows are months)."""
+        """Time-by-series matrix of values (rows are months)."""
         mat = np.column_stack([s.values for s in self.series])
         mat.flags.writeable = False
         return mat
@@ -278,7 +272,7 @@ class Panel:
     def __len__(self) -> int:
         return self.grid.length
 
-    def select(self, label: str) -> ReturnSeries:
+    def select(self, label: str) -> Series:
         for s in self.series:
             if s.label == label:
                 return s
@@ -401,7 +395,7 @@ def cumulate_log_price(s: ReturnSeries, base: float = 100.0) -> LogPriceSeries:
     return LogPriceSeries(s.label, grid, path, base_level=base)
 
 
-def align(series: Iterable[ReturnSeries]) -> Panel:
+def align(series: Iterable[Series]) -> Panel:
     """Panel over the maximal common grid of the given series.
 
     Raises:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import DegenerateVarianceError, InsufficientDataError, ValidationError
 from ..regression import ols
-from ..series import LogPriceSeries, ReturnSeries
+from ..series import Series
 
 
 @dataclass(frozen=True)
@@ -181,8 +181,8 @@ def _kpss(y: np.ndarray, bandwidth: int) -> float:
     return float(np.sum(partial**2) / (n**2 * lam2))
 
 
-def unit_root_tests(s: ReturnSeries | LogPriceSeries) -> UnitRootReport:
-    """Run ADF, PP, and KPSS on one series (returns or log prices).
+def unit_root_tests(s: Series) -> UnitRootReport:
+    """Run ADF, PP, and KPSS on one series (returns or log prices, say).
 
     Raises:
         InsufficientDataError: n < 30.

@@ -837,9 +837,10 @@ def run_with_workers(monkeypatch, command, config_path, out_dir, workers):
 
 
 def write_failing_risk_config(tmp_path):
-    """The demo returns plus BIG, a copy of REIT with one +150 % month: the
-    loss series of BIG breaks the -100 % floor, so its raw-return job
-    raises, while MKT's and the residual GARCH fits warn."""
+    """The demo returns plus BIG, a copy of REIT with one +150 % month,
+    whose loss of -150 the models fit like any other; MKT's and the
+    residual GARCH fits warn. `fail_big_raw_returns` makes BIG's
+    raw-return job raise."""
     lines = (DEMO_DIR / "demo_returns.csv").read_text(encoding="utf-8").splitlines()
     rows = [lines[0] + ",BIG"]
     for i, line in enumerate(lines[1:]):
@@ -854,6 +855,21 @@ def write_failing_risk_config(tmp_path):
         encoding="utf-8",
     )
     return cfg
+
+
+def fail_big_raw_returns(monkeypatch):
+    """Make `risk_report` raise on BIG's raw returns, the only series with
+    a month above +100 %: no input makes it raise by itself, since fitter
+    and query errors land in the report. `_risk_job` looks it up on each
+    call, and forked workers inherit the patch."""
+    report = pipeline.risk_report
+
+    def failing_report(s, config):
+        if s.label == "BIG" and s.values.max() > 100:
+            raise ValidationError(f"series {s.label!r} refused by the test double")
+        return report(s, config)
+
+    monkeypatch.setattr(pipeline, "risk_report", failing_report)
 
 
 class TestRiskWorkers:
@@ -877,18 +893,20 @@ class TestRiskWorkers:
 
     def test_job_errors_and_warnings_keep_job_order(self, tmp_path, monkeypatch):
         cfg = write_failing_risk_config(tmp_path)
+        fail_big_raw_returns(monkeypatch)
         serial = run_with_workers(monkeypatch, "risk", cfg, tmp_path / "one", 1)
         pooled = run_with_workers(monkeypatch, "risk", cfg, tmp_path / "two", 2)
         assert serial[0] == pooled[0] == 1
         stage = json.loads(serial[1]["summary.json"])["stages"][1]
         assert stage["error"].startswith(
-            "BIG (raw-returns): series 'BIG' contains a simple return <= -100%"
+            "BIG (raw-returns): series 'BIG' refused by the test double"
         )
         assert len(set(stage["warnings"])) >= 2, stage["warnings"]
         assert serial[1] == pooled[1]
 
     def test_risk_warnings_name_their_job(self, tmp_path, monkeypatch):
         cfg = write_failing_risk_config(tmp_path)
+        fail_big_raw_returns(monkeypatch)
         status, files = run_with_workers(monkeypatch, "risk", cfg, tmp_path / "out", 1)
         assert status == 1
         stage = json.loads(files["summary.json"])["stages"][1]
@@ -897,6 +915,14 @@ class TestRiskWorkers:
         for warning in stage["warnings"]:
             assert warning.startswith("RuntimeWarning: ")
             assert "alpha + beta" in warning and "near 1" in warning
+
+    def test_month_above_plus_100_pct_fits_both_bases(self, tmp_path, monkeypatch):
+        cfg = write_failing_risk_config(tmp_path)
+        status, files = run_with_workers(monkeypatch, "risk", cfg, tmp_path / "out", 1)
+        assert status == 0
+        rows = [row.split(",") for row in files["risk.csv"].decode().splitlines()[1:]]
+        big = [row for row in rows if row[0] == "BIG"]
+        assert [row[1] for row in big] == ["raw-returns"] * 9 + ["residuals"] * 9
 
     def test_residuals_are_swept_once_per_stage(self, tmp_path, monkeypatch):
         sweeps = []

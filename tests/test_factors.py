@@ -18,7 +18,7 @@ from retlab.factors import (
     residual_panel,
     scree,
 )
-from retlab.series import Month, Panel, ReturnSeries, TimeGrid
+from retlab.series import Month, Panel, ReturnSeries, Series, TimeGrid
 from retlab.synth import GeneratorSpec, generate
 
 
@@ -234,6 +234,18 @@ class TestFactorRegression:
         s = ReturnSeries("c", panel.grid, np.full(len(panel), level))
         with pytest.raises(DegenerateVarianceError, match="series 'c' is constant; R\\^2 undefined"):
             factor_regression(s, result.scores, k=1)
+
+    def test_residual_below_minus_100_is_kept(self):
+        # a -95 % month the scores do not explain leaves a residual of
+        # -102.5, which bounds returns but not residuals
+        rng = np.random.default_rng(7)
+        scores = rng.normal(0.0, 5.0, (240, 2))
+        y = 12.0 + 0.5 * scores[:, 0] + rng.normal(0.0, 2.0, 240)
+        y[100] = -95.0
+        s = ReturnSeries("y", TimeGrid(Month(2000, 1), 240), y)
+        fit = factor_regression(s, scores, k=1)
+        assert type(fit.residuals) is Series
+        assert fit.residuals.values[100] == pytest.approx(-102.53, abs=0.01)
 
     def test_row_mismatch_rejected(self):
         panel = random_panel(17)

@@ -258,6 +258,15 @@ class TestRiskReport:
                 cell = report.cell(model, p)
                 assert cell.loss is None and cell.error
 
+    def test_month_above_plus_100_pct_fits_every_model(self):
+        # its loss is below -100, which bounds returns but not losses
+        values = np.random.default_rng(7).normal(0.9, 4.9, 360)
+        values[100] = 120.0
+        report = risk_report(series_of(values))
+        assert report.fit_errors == {}
+        assert len(report.cells) == 9
+        assert all(c.error is None and c.loss is not None for c in report.cells)
+
     def test_out_of_tail_query_fails_only_its_own_cell(self):
         config = RiskConfig(fractiles=(0.85, 0.99))
         report = risk_report(gaussian_sample(seed=94, n=2000), config=config)

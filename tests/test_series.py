@@ -13,9 +13,11 @@ from retlab.errors import (
 )
 from retlab.series import (
     ConstituentRecord,
+    LogPriceSeries,
     Month,
     Panel,
     ReturnSeries,
+    Series,
     TimeGrid,
     align,
     build_value_weighted_index,
@@ -111,6 +113,58 @@ class TestReturnSeries:
         s = series_of(raw)
         raw[0] = 50.0
         assert s.values[0] == 1.0
+
+
+class TestSeries:
+    """The checks every kind of series shares, once in `Series`, and the
+    ones each kind adds."""
+
+    GRID = TimeGrid(Month(2000, 1), 3)
+
+    @pytest.mark.parametrize("kind", [Series, ReturnSeries, LogPriceSeries])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, kind, bad):
+        with pytest.raises(ValidationError, match="series 'x' contains non-finite"):
+            kind("x", self.GRID, [0.0, bad, 1.0])
+
+    @pytest.mark.parametrize("kind", [Series, ReturnSeries, LogPriceSeries])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_length_off_the_grid_rejected(self, kind, n):
+        with pytest.raises(ValidationError, match=f"{n} values on a 3-month grid"):
+            kind("x", self.GRID, np.zeros(n))
+
+    @pytest.mark.parametrize("kind", [Series, ReturnSeries, LogPriceSeries])
+    def test_read_only_copy(self, kind):
+        raw = np.array([0.0, 1.0, 2.0])
+        s = kind("x", self.GRID, raw)
+        raw[1] = 5.0
+        assert s.values[1] == 1.0 and len(s) == 3
+        with pytest.raises(ValueError):
+            s.values[0] = 9.0
+
+    def test_plain_series_has_no_floor(self):
+        s = Series("losses", self.GRID, [-150.0, -100.0, 120.0])
+        assert s.values.min() == -150.0
+
+    def test_restrict_and_relabel_keep_the_kind(self):
+        tail = TimeGrid(Month(2000, 2), 2)
+        for s in (Series("x", self.GRID, [-150.0, 1.0, 2.0]), series_of([1.0, 2.0, 3.0])):
+            cut = s.restrict(tail)
+            assert type(cut) is type(s) and cut.grid == tail
+            np.testing.assert_array_equal(cut.values, s.values[1:])
+            renamed = s.relabel("y")
+            assert type(renamed) is type(s) and renamed.label == "y"
+
+    @pytest.mark.parametrize("base", [0.0, -1.0])
+    def test_log_price_non_positive_base_rejected(self, base):
+        with pytest.raises(ValidationError, match="base level must be positive"):
+            LogPriceSeries("x", self.GRID, [0.0, 0.1, 0.2], base_level=base)
+
+    def test_log_price_first_value_must_be_log_base(self):
+        start = math.log(100.0)
+        LogPriceSeries("x", self.GRID, [start, 4.7, 4.8], base_level=100.0)
+        with pytest.raises(ValidationError, match="does not equal log\\(base level\\)"):
+            LogPriceSeries("x", self.GRID, [start + 1e-9, 4.7, 4.8], base_level=100.0)
 
 
 class TestPanel:
