@@ -8,8 +8,9 @@ Three layouts, all UTF-8 / comma / `.` decimal / LF, dates as ISO year-month:
 * constituents: header ``date,id,return,market_cap``.
 
 Both return layouts go through one streamed reader, so neither row order
-nor layout changes the panel. A rejection names its 1-based line, except
-a gap, which names the series and the missing month.
+nor layout changes the panel. A rejection names the 1-based line its
+record starts on, also after a quoted cell that spans lines, except a
+gap, which names the series and the missing month.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import csv
 import math
 from collections.abc import Iterable
 from contextlib import contextmanager
+from io import StringIO
+from itertools import islice
 from pathlib import Path
 
 from ..errors import GapError, ParseError, ValidationError
@@ -32,20 +35,30 @@ from ..series import (
 
 LAYOUTS = ("wide", "long", "constituents")
 
+# the most lines in one block that `csv_line_blocks` yields
+_BLOCK_ROWS = 1024
+
+
+def _records(reader):
+    """(line number, stripped cells) of each non-blank record. The line is
+    the physical one the record starts on: after a quoted cell that spans
+    lines it runs ahead of the count of records."""
+    line_no = 1
+    for row in reader:
+        if row:
+            yield line_no, [cell.strip() for cell in row]
+        line_no = reader.line_num + 1
+
 
 @contextmanager
 def _reading(path: Path):
     """Yield the header line number, the header and an iterator over the
-    other non-blank rows as (line number, stripped cells), read as it is
-    iterated. The file closes when the with-block ends, also when it
+    other non-blank records as (line number, stripped cells), read as it
+    is iterated. The file closes when the with-block ends, also when it
     raises; a bare generator would stay open while the traceback lives."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = (
-                (line_no, [cell.strip() for cell in row])
-                for line_no, row in enumerate(csv.reader(handle), start=1)
-                if row
-            )
+            rows = _records(csv.reader(handle))
             first = next(rows, None)
             if first is None:
                 raise ParseError(f"{path}: empty file")
@@ -215,20 +228,43 @@ def ingest(path: Path, layout: str):
     raise ValidationError(f"layout must be one of {LAYOUTS}, got {layout!r}")
 
 
-def write_csv(path: Path, header: list[str], rows: Iterable[list]) -> list[str]:
+def csv_cell(text: str) -> str:
+    """`text` as one cell of a `write_csv` line: quoted and its quotes
+    doubled where `csv.writer` would, by `csv.writer` itself."""
+    buffer = StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, None])
+    return buffer.getvalue()[:-2]  # less the empty cell's "," and the "\n"
+
+
+def csv_line_blocks(columns):
+    """Blocks of whole `write_csv` lines, at most _BLOCK_ROWS each, whose
+    cells are read side by side from `columns`, iterables of cell text
+    (a label as `csv_cell` gives it, a float as its `repr`)."""
+    lines = map(",".join, zip(*columns))
+    while block := list(islice(lines, _BLOCK_ROWS)):
+        yield "\n".join(block) + "\n"
+
+
+def write_csv(path: Path, header: list[str], rows: Iterable[list | str]) -> list[str]:
     """Emit a full-precision CSV with LF line endings; `rows` may be a
     generator, each row made as it is written.
 
-    `csv.writer` writes None as an empty cell and any other cell as its
-    `str`, which for a float (numpy's included) is the shortest decimal
-    that round-trips it exactly.
+    A row that is a list goes through `csv.writer`, which writes None as
+    an empty cell and any other cell as its `str`, which for a float
+    (numpy's included) is the shortest decimal that round-trips it
+    exactly. A row that is a `str` is a block of whole lines already in
+    that form, as `csv_line_blocks` makes them, and is written as it is.
 
     Returns the artifact file names.
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        for row in rows:
+            if isinstance(row, str):
+                handle.write(row)
+            else:
+                writer.writerow(row)
     return [path.name]
 
 

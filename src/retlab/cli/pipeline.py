@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import astuple, dataclass, field, fields, is_dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,7 @@ from ..varmodel import (
     unit_root_tests,
 )
 from .config import RunConfig
-from .io import ingest, write_csv, write_panel
+from .io import csv_cell, csv_line_blocks, ingest, write_csv, write_panel
 from .tables import write_table
 
 COMMANDS = ("describe", "pca", "risk", "predict", "unitroot", "synth", "report")
@@ -148,28 +149,39 @@ def _asset_series(records: list[ConstituentRecord]) -> list[ReturnSeries]:
 
 
 # ----------------------------------------------------------- figure rows
-# A figure file is written as its rows are made, one block of its arrays
-# (a series, a horizon) converted by `.tolist()` at a time, so no stage
-# holds a figure's rows, or a whole array as Python floats, in memory.
+# A figure file that grows with the data is written as its lines are made:
+# one block of its arrays (a series, a horizon) is converted by `.tolist()`
+# at a time and yielded by `csv_line_blocks` as blocks of whole lines, so
+# no stage holds a figure's lines, or a whole array as Python floats, in
+# memory. A line joins labels quoted once by `csv_cell`, month text from
+# `TimeGrid.labels()` and each float's `repr`, which is its `str`: the
+# bytes `csv.writer` writes for the same row, without its per-row work.
 
 
-def _series_rows(series):
-    """Rows [month, label, value] of each series in turn."""
-    for s in series:
-        for month, value in zip(s.grid.labels(), s.values.tolist()):
-            yield [month, s.label, value]
+def _series_lines(series):
+    """Line blocks `month,label,value` of each (label, grid, values) in turn."""
+    grid_of_months = months = None
+    for label, grid, values in series:
+        if grid != grid_of_months:  # the series mostly share one grid
+            grid_of_months, months = grid, grid.labels()
+        yield from csv_line_blocks(
+            (months, repeat(csv_cell(label)), map(repr, values.tolist()))
+        )
 
 
-def _horizon_rows(labels, *cubes):
-    """Rows [horizon, row label, column label, *cells] of (horizons, k, k)
+def _horizon_lines(labels, *cubes):
+    """Line blocks `horizon,row label,column label,*cells` of (horizons, k, k)
     arrays read side by side, one horizon at a time; a cube that is None
     gives empty cells."""
-    absent = [[None] * len(labels)] * len(labels)
+    cells = [csv_cell(label) for label in labels]
+    row_cells = [cell for cell in cells for _ in cells]
+    column_cells = cells * len(cells)
     for h in range(len(cubes[0])):
-        blocks = [absent if cube is None else cube[h].tolist() for cube in cubes]
-        for row_label, *rows in zip(labels, *blocks):
-            for column_label, *cells in zip(labels, *rows):
-                yield [h, row_label, column_label, *cells]
+        yield from csv_line_blocks((
+            repeat(str(h)), row_cells, column_cells,
+            *(repeat("") if cube is None else map(repr, cube[h].ravel().tolist())
+              for cube in cubes),
+        ))
 
 
 # ---------------------------------------------------------------- stages
@@ -235,11 +247,13 @@ def _stage_describe(ws: Workspace, config: RunConfig, out_dir: Path):
             errors.append(f"{s.label}: {exc}")
     artifacts += write_csv(
         out_dir / "fig_returns.csv", ["month", "series", "value"],
-        _series_rows(targets),
+        _series_lines((s.label, s.grid, s.values) for s in targets),
     )
     artifacts += write_csv(
         out_dir / "fig_log_prices.csv", ["month", "series", "log_price"],
-        _series_rows(cumulate_log_price(s) for s in targets),
+        _series_lines(
+            (p.label, p.grid, p.values) for p in map(cumulate_log_price, targets)
+        ),
     )
     artifacts += write_csv(
         out_dir / "fig_correlogram.csv",
@@ -405,16 +419,9 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
         ["series", "basis", "model", "fractile", "loss", "average_loss", "note"],
         rows,
     )
-    # the series mostly share one grid: label its months once
-    months = {grid: grid.labels() for grid in {grid for _, grid, _ in volatility}}
-    vol_rows = (
-        [month, label, sd]
-        for label, grid, sds in volatility
-        for month, sd in zip(months[grid], sds.tolist())
-    )
     artifacts += write_csv(
         out_dir / "fig_conditional_volatility.csv",
-        ["month", "series", "sd"], vol_rows,
+        ["month", "series", "sd"], _series_lines(volatility),
     )
     artifacts += write_csv(
         out_dir / "fig_fitted_density.csv",
@@ -502,7 +509,7 @@ def _stage_predict(ws: Workspace, config: RunConfig, out_dir: Path):
     artifacts += write_csv(
         out_dir / "fig_irf.csv",
         ["horizon", "response", "shock", "value", "lower", "upper"],
-        _horizon_rows(impulse.labels, impulse.responses, impulse.lower, impulse.upper),
+        _horizon_lines(impulse.labels, impulse.responses, impulse.lower, impulse.upper),
     )
     params["irf"] = {"seed": config.seed, "n_boot": config.n_boot,
                      "ordering": list(range(fit.width))}
@@ -511,7 +518,7 @@ def _stage_predict(ws: Workspace, config: RunConfig, out_dir: Path):
     artifacts += write_csv(
         out_dir / "fig_fevd.csv",
         ["horizon", "series", "shock", "share"],
-        _horizon_rows(shares.labels, shares.shares),
+        _horizon_lines(shares.labels, shares.shares),
     )
     return artifacts, params, []
 

@@ -1,5 +1,6 @@
 """CSV ingestion, config loading, and the command-line pipeline."""
 
+import csv
 import dataclasses
 import importlib.resources
 import json
@@ -88,6 +89,14 @@ class TestIngestWide:
         with pytest.raises(ParseError, match=r"line 3.*'x'"):
             ingest_wide(path)
 
+    def test_error_after_a_cell_spanning_lines_names_its_physical_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text('date,"A\nB",C\n2000-01,1.0,2.0\n2000-02,x,2.0\n', encoding="utf-8")
+        with pytest.raises(
+            ParseError, match=r"^line 4: non-numeric value 'x' in column 'A\\nB'$"
+        ):
+            ingest_wide(path)
+
     def test_missing_month_row(self, tmp_path):
         path = tmp_path / "p.csv"
         write_lines(path, ["date,x", "2001-01,1.0", "2001-03,2.0"])
@@ -164,6 +173,17 @@ class TestIngestLong:
             "2003-01,a,3.0",
         ])
         with pytest.raises(ParseError, match="line 4.*duplicate"):
+            ingest_long(path)
+
+    def test_error_after_a_cell_spanning_lines_names_its_physical_line(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text(
+            'date,series,value\n2003-01,"a\nb",1.0\n2003-02,"a\nb",oops\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            ParseError, match=r"^line 4: non-numeric value 'oops' in column 'a\\nb'$"
+        ):
             ingest_long(path)
 
     def test_gap_names_series(self, tmp_path):
@@ -249,6 +269,18 @@ class TestIngestConstituents:
             "date,id,return,market_cap", "2003-01,ACME,1.5,-3.0",
         ])
         with pytest.raises(ParseError, match="line 2"):
+            ingest_constituents(path)
+
+    def test_error_after_a_cell_spanning_lines_names_its_physical_line(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(
+            'date,id,return,market_cap\n2003-01,"AC\nME",1.5,120.0\n'
+            "2003-02,ACME,oops,121.4\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            ParseError, match=r"^line 4: non-numeric value 'oops' in column 'return'$"
+        ):
             ingest_constituents(path)
 
     def test_dispatch(self, tmp_path):
@@ -732,6 +764,22 @@ class TestFigureFiles:
         for (h, i, j), row in zip(cells, rows):
             assert row[:3] == [str(h), labels[i], labels[j]]
             assert float(row[3]) == shares.shares[h, i, j]
+
+    def test_labels_that_need_quoting_read_back(self, tmp_path):
+        labels = ["A,1", 'B"q', "M"]
+        panel = panel_fixture(labels=labels)
+        cfg = write_run_config(tmp_path, panel=panel, market="", members="")
+        header = (tmp_path / "returns.csv").read_text().splitlines()[0]
+        assert header == 'date,"A,1","B""q",M'
+        assert main(["describe", str(cfg)]) == 0
+        assert main(["predict", str(cfg)]) == 0
+        with open(tmp_path / "out" / "fig_returns.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[1] for row in rows] == [l for l in labels for _ in range(len(panel))]
+        with open(tmp_path / "out" / "fig_irf.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[1:3] for row in rows[:9]] == [[r, c] for r in labels for c in labels]
+        assert {row[0] for row in rows} == {str(h) for h in range(9)}
 
     # holding every row of fig_returns.csv and fig_log_prices.csv took
     # 6.6 MB on this panel, and fig_irf.csv's and fig_fevd.csv's 7.4 MB;
