@@ -15,16 +15,11 @@ an unconstrained reparameterization, never by clipping.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-import scipy
-from scipy.optimize import minimize
 from scipy.special import chdtrc
 
 from ..errors import (
@@ -32,6 +27,7 @@ from ..errors import (
     InsufficientDataError,
     ValidationError,
 )
+from ..optimize import load_scipy_function, minimize_lbfgsb
 from ..series import Series
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -39,30 +35,11 @@ _PERSISTENCE_CAP = 1.0 - 1e-6  # alpha + beta stays strictly below 1
 _INTEGRATED_WARN = 0.999
 
 
-def _load_linear_filter():
-    """`_linear_filter`, the compiled IIR filter that `scipy.signal.lfilter`
-    ends in, loaded from its extension file. Importing `scipy.signal`
-    would run its package init, which imports `scipy.stats`,
-    `interpolate`, `ndimage` and more, for this one loop."""
-    directory = str(Path(scipy.__file__).parent / "signal")
-    spec = importlib.machinery.PathFinder.find_spec("_sigtools", [directory])
-    if spec is None:
-        raise ImportError(
-            f"scipy {scipy.__version__} has no signal/_sigtools extension"
-        )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    try:
-        return module._linear_filter
-    except AttributeError:
-        raise ImportError(
-            f"scipy {scipy.__version__}'s signal/_sigtools has no _linear_filter"
-        ) from None
-
-
 # for len(a) > 1, _linear_filter(b, a, x, axis[, zi]) is
-# lfilter(b, a, x, axis[, zi]) without lfilter's argument checks
-_linear_filter = _load_linear_filter()
+# lfilter(b, a, x, axis[, zi]) without lfilter's argument checks; loaded
+# from its file, since importing `scipy.signal` would run its package init,
+# which imports `scipy.stats`, `interpolate`, `ndimage` and more
+_linear_filter = load_scipy_function("signal", "_sigtools", "_linear_filter")
 _ONE = np.ones(1)
 
 
@@ -270,24 +247,18 @@ def fit_garch11(s: Series) -> GarchFit:
             return 1e12, np.zeros(4)
         return -ll, -_raw_gradient(raw, grad)
 
-    bounds = [
-        (mu0 - 10 * sd, mu0 + 10 * sd),
-        (math.log(h1) - 35.0, math.log(h1) + 35.0),
-        (-40.0, 40.0),
-        (-40.0, 40.0),
-    ]
+    log_h1 = math.log(h1)
+    bounds = (
+        np.array([mu0 - 10 * sd, log_h1 - 35.0, -40.0, -40.0]),
+        np.array([mu0 + 10 * sd, log_h1 + 35.0, 40.0, 40.0]),
+    )
     best_res = None
     n_evals = 0
     for alpha0, beta0 in _STARTS:
         omega0 = h1 * (1.0 - alpha0 - beta0)
         raw0 = _from_natural(mu0, omega0, alpha0, beta0)
-        res = minimize(
-            objective,
-            raw0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 400, "ftol": 1e-13, "gtol": 1e-9},
+        res = minimize_lbfgsb(
+            objective, raw0, bounds, maxiter=400, ftol=1e-13, gtol=1e-9
         )
         n_evals += res.nfev
         if best_res is None or res.fun < best_res.fun:

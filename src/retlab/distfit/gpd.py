@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..errors import (
     ConvergenceError,
@@ -24,6 +23,7 @@ from ..errors import (
     InsufficientTailError,
     ValidationError,
 )
+from ..optimize import minimize_lbfgsb
 from ..series import Series
 
 _XI_SMALL = 1e-5  # below this, use series expansions around xi = 0
@@ -200,12 +200,9 @@ def fit_gpd_pot(losses: Series, threshold_quantile: float = 0.90) -> GpdFit:
             return 1e12, np.zeros(2)
         return -ll, -len(y) * score
 
-    result = minimize(
-        negloglike,
-        x0=np.array([xi0, math.log(beta0)]),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-10},
+    result = minimize_lbfgsb(
+        negloglike, np.array([xi0, math.log(beta0)]),
+        maxiter=200, ftol=1e-14, gtol=1e-10,
     )
     xi, beta, ll, score = _newton_polish(
         float(result.x[0]), float(result.x[1]), y

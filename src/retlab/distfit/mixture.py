@@ -18,10 +18,15 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 from scipy.special import logsumexp, ndtr
 
-from ..errors import DegenerateVarianceError, InsufficientDataError, ValidationError
+from ..errors import (
+    ConvergenceError,
+    DegenerateVarianceError,
+    InsufficientDataError,
+    ValidationError,
+)
+from ..optimize import minimize_lbfgsb
 from ..series import Series
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -300,13 +305,17 @@ def _polish(w, mu, sd, work: _Workspace):
 
     def objective(theta):
         ll, grad = _score(theta, k, work)
+        # where the E-step's moments overflow, the gradient is not finite
+        # and a step along it would be NaN: report the point as
+        # infeasible, so that the line search backs away from it
+        if not np.isfinite(grad).all():
+            return np.inf, np.zeros_like(theta)
         return -ll / n, -grad / n
 
     start_ll, _ = _score(theta0, k, work)
-    result = minimize(
-        objective, theta0, jac=True, method="L-BFGS-B",
-        bounds=Bounds(lower, np.inf),
-        options={"maxfun": _MAX_EVALS, "gtol": _TOL, "ftol": 0.0},
+    result = minimize_lbfgsb(
+        objective, theta0, (lower, np.inf),
+        maxfun=_MAX_EVALS, gtol=_TOL, ftol=0.0,
     )
     theta = result.x
     ll, grad = _score(theta, k, work)
@@ -357,8 +366,15 @@ def _fit_k(x: np.ndarray, k: int) -> MixtureFit:
         exponent = 0.5 + j / (_N_RESTARTS - 1)  # 0.5 .. 1.5, j=4/5 near equal split
         start = _quantile_split_init(z_sorted, k, exponent)
         w, mu, sd, path, floor_hit = _em_run(*start, work)
-        if best is None or path[-1] > best[3][-1]:
+        # only a finite final log-likelihood can win: a NaN `best` would
+        # never be replaced, since no value is > NaN
+        if math.isfinite(path[-1]) and (best is None or path[-1] > best[3][-1]):
             best = (w, mu, sd, path, floor_hit)
+    if best is None:
+        raise ConvergenceError(
+            f"every EM restart of the {k}-component mixture ended at a "
+            f"log-likelihood that is not finite"
+        )
 
     w, mu, sd, burn_path, burn_floor = best
     w, mu, sd, ll, n_evals, converged, floor_hit = _polish(w, mu, sd, work)
@@ -388,6 +404,8 @@ def fit_mixture_em(s: Series, k_max: int = 3) -> MixtureFit:
         InsufficientDataError: n < 30.
         ValidationError: k_max not in {1, 2, 3}.
         DegenerateVarianceError: constant input.
+        ConvergenceError: every EM restart for some k ends at a
+            log-likelihood that is not finite.
     """
     if k_max not in (1, 2, 3):
         raise ValidationError(f"k_max must be 1, 2, or 3, got {k_max}")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .distfit import (
@@ -33,6 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .factors import residual_panel
+from .optimize import brentq
 from .series import Panel, Series
 
 MODELS = ("EM", "GPD", "GARCH")

@@ -1,6 +1,7 @@
 """Mixture EM, GPD tail, GARCH(1,1), and ARCH-LM fitting tests."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from retlab.distfit import (
     mixture_pdf,
 )
 from retlab.errors import (
+    ConvergenceError,
     DegenerateVarianceError,
     InsufficientDataError,
     InsufficientTailError,
@@ -217,6 +219,53 @@ class TestMixtureEm:
             fit.log_likelihood, fit.bic, fit.converged, fit.n_iter
         )
         assert min(fit.candidates, key=lambda c: c.bic) is picked
+
+    @staticmethod
+    def first_restarts_end_at(monkeypatch, final, count):
+        """Make the first `count` EM restarts end at log-likelihood `final`
+        with NaN parameters, as an E-step that overflowed would."""
+        from retlab.distfit import mixture
+
+        real, calls = mixture._em_run, []
+
+        def em_run(*args):
+            w, mu, sd, path, floor_hit = real(*args)
+            calls.append(None)
+            if len(calls) > count:
+                return w, mu, sd, path, floor_hit
+            nan = np.full_like(w, np.nan)
+            return nan, nan, nan, path[:-1] + [final], floor_hit
+
+        monkeypatch.setattr(mixture, "_em_run", em_run)
+
+    def test_nan_first_restart_does_not_become_the_fit(self, monkeypatch):
+        s = mixture_sample(seed=13, n=2000)
+        # a first restart that loses to every other one: the fit is the
+        # best of the later restarts
+        with monkeypatch.context() as patch:
+            self.first_restarts_end_at(patch, -1e300, 1)
+            losing = fit_mixture_em(s, k_max=2)
+        self.first_restarts_end_at(monkeypatch, np.nan, 1)
+        fit = fit_mixture_em(s, k_max=2)
+        assert fit.k == 2
+        assert pickle.dumps(fit) == pickle.dumps(losing)
+
+    def test_no_finite_restart_is_a_convergence_error(self, monkeypatch):
+        self.first_restarts_end_at(monkeypatch, np.nan, 10**6)
+        with pytest.raises(ConvergenceError, match="2-component"):
+            fit_mixture_em(mixture_sample(seed=13, n=2000), k_max=2)
+
+    # the E-step overflows on this series (RuntimeWarnings from numpy)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_polish_backs_away_from_an_overflowing_e_step(self):
+        # a generalized-Pareto tail whose first EM restart goes NaN for
+        # k = 2 and 3, and whose k = 2 polish meets E-step moments that
+        # overflow: every k must still end at a finite log-likelihood
+        law = {"shape": 0.3, "scale": 0.1, "rate": 0.10, "threshold": 0.5}
+        losses = generate(GeneratorSpec("gpd-tail", 20_000, 2925513652634083163, law))
+        fit = fit_mixture_em(losses, k_max=3)
+        assert all(math.isfinite(c.log_likelihood) for c in fit.candidates)
+        assert fit.k == 3
 
     def test_estep_matches_logsumexp_reference(self):
         from scipy.special import logsumexp
