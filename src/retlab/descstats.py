@@ -91,6 +91,22 @@ class CrossSectionRow:
             raise ValidationError("mean_of_sds must be >= 0")
 
 
+def sorted_quantile(values: np.ndarray, q: float) -> np.ndarray:
+    """The q-quantile along axis 0 of values sorted along it, without NaN:
+    `np.quantile(values, q, axis=0)` by its default linear method, bit for
+    bit. The two order statistics either side of (n - 1) q are
+    interpolated as numpy's `_lerp` does; numpy's own route partitions
+    the data, and on numpy 2 imports `numpy.ma` to do so."""
+    position = (values.shape[0] - 1) * q
+    below = int(position)
+    above = min(below + 1, values.shape[0] - 1)
+    gamma = position - below
+    low, high = values[below], values[above]
+    if gamma >= 0.5:
+        return high - (high - low) * (1 - gamma)
+    return low + (high - low) * gamma
+
+
 def _autocorr(x: np.ndarray, lag: int) -> float:
     """Sample autocorrelation with full-sample mean and n denominator."""
     centered = x - x.mean()

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from ..errors import (
     DegenerateVarianceError,
@@ -29,6 +28,7 @@ from ..errors import (
 )
 from ..optimize import load_scipy_function, minimize_lbfgsb
 from ..series import Series
+from ..special import chdtrc
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _PERSISTENCE_CAP = 1.0 - 1e-6  # alpha + beta stays strictly below 1

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..descstats import sorted_quantile
 from ..errors import (
     ConvergenceError,
     DegenerateVarianceError,
@@ -185,7 +186,7 @@ def fit_gpd_pot(losses: Series, threshold_quantile: float = 0.90) -> GpdFit:
         )
     x = losses.values
     n = len(x)
-    u = float(np.quantile(x, threshold_quantile))
+    u = float(sorted_quantile(np.sort(x), threshold_quantile))
     y = x[x > u] - u
     if len(y) < 10:
         raise InsufficientTailError(

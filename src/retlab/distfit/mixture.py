@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 from ..errors import (
     ConvergenceError,
@@ -28,6 +27,7 @@ from ..errors import (
 )
 from ..optimize import minimize_lbfgsb
 from ..series import Series
+from ..special import logsumexp, ndtr
 
 _LOG_2PI = math.log(2.0 * math.pi)
 

@@ -6,9 +6,19 @@ the columns a design cannot identify; `ols` solves the normal equations.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import qr
 
 from .errors import SingularDesignError
+from .optimize import load_scipy_function
+
+# LAPACK's pivoted QR, loaded from its file: importing `scipy.linalg` would
+# run its package init, which imports `numpy.f2py` among others
+try:
+    _dgeqp3 = load_scipy_function("linalg", "_flapack", "dgeqp3")
+except ImportError:
+    _dgeqp3 = None
+# True when check_full_rank calls dgeqp3 itself, False when it calls
+# scipy.linalg.qr
+EXTENSIONS = _dgeqp3 is not None
 
 
 def ols(design: np.ndarray, target: np.ndarray):
@@ -36,10 +46,27 @@ def check_full_rank(design: np.ndarray, names) -> None:
     the rank: the diagonal entries of R above max|R_ii| * max(rows,
     columns) * eps. Full rank holds in any subset of the columns too.
     """
-    r, pivots = qr(design, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
+    diag, pivots = _pivoted_r_diagonal(design)
+    diag = np.abs(diag)
     tol = diag.max() * max(design.shape) * np.finfo(np.float64).eps
     rank = int(np.sum(diag > tol))
     if rank < design.shape[1]:
         offending = ", ".join(names[i] for i in sorted(pivots[rank:]))
         raise SingularDesignError(f"collinear regressors: {offending}")
+
+
+def _pivoted_r_diagonal(design: np.ndarray):
+    """The diagonal of R and the 0-based column pivots of the pivoted QR
+    that `scipy.linalg.qr(design, mode="r", pivoting=True)` computes, with
+    the same workspace query, without copying out the whole of R."""
+    if not EXTENSIONS:
+        from scipy.linalg import qr
+
+        r, pivots = qr(design, mode="r", pivoting=True)
+        return np.diag(r), pivots
+    design = np.asarray_chkfinite(design)
+    work = _dgeqp3(design, lwork=-1)[3]
+    qr, jpvt, _, _, info = _dgeqp3(design, lwork=int(work[0]))
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK's dgeqp3")
+    return np.diag(qr), jpvt - 1

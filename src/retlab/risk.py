@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .distfit import (
     GarchFit,
@@ -34,6 +33,7 @@ from .errors import (
 from .factors import residual_panel
 from .optimize import brentq
 from .series import Panel, Series
+from .special import ndtr, ndtri
 
 MODELS = ("EM", "GPD", "GARCH")
 GARCH_CONDITIONINGS = ("one-step", "unconditional")

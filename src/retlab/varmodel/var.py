@@ -19,9 +19,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fdtrc
+# numpy 2 imports numpy.random on first use, which irf makes in the
+# command's own process: import it at start-up, with numpy
+import numpy.random
 
 from .. import workers
+from ..descstats import sorted_quantile
 from ..errors import (
     AlignmentError,
     DecompositionError,
@@ -31,6 +34,7 @@ from ..errors import (
 )
 from ..regression import check_full_rank, ols
 from ..series import Panel
+from ..special import fdtrc
 from ..synth import _companion_spectral_radius, _simulate
 
 _CRITERIA = ("AIC", "BIC")
@@ -518,24 +522,11 @@ def irf(fit: VarFit, h: int, n_boot: int = 1000, seed: int = 0) -> IrfResult:
             out = deviations[block]
             np.abs(np.subtract(thetas, point, out=out), out=out)
 
-        # np.quantile's linear method: the band lies between order
-        # statistics `below` and `above` of each cell, at fraction `gamma`
-        below = int((n_boot - 1) * _COVERAGE)
-        above = min(below + 1, n_boot - 1)
-        gamma = (n_boot - 1) * _COVERAGE - below
-
         def take_quantile(cells):
             # each cell reads only its own deviations: sort them in place
-            # and interpolate as numpy's _lerp does, which on deviations
-            # without NaN is bit-equal to np.quantile and skips its
-            # partition of the sorted cells
             share = deviations.reshape(n_boot, -1)[:, cells]
             share.sort(axis=0)
-            low, high = share[below], share[above]
-            if gamma >= 0.5:
-                band.reshape(-1)[cells] = high - (high - low) * (1 - gamma)
-            else:
-                band.reshape(-1)[cells] = low + (high - low) * gamma
+            band.reshape(-1)[cells] = sorted_quantile(share, _COVERAGE)
 
         edges = np.linspace(0, band.size, shards + 1).astype(int).tolist()
         workers.map_phases(

@@ -12,6 +12,7 @@ from retlab.descstats import (
     describe,
     ols_beta,
     scholes_williams_beta,
+    sorted_quantile,
 )
 from retlab.errors import (
     AlignmentError,
@@ -295,3 +296,17 @@ class TestCrossSectionalSummary:
         rows = cross_sectional_summary([a, b], market)
         assert rows[0].mean_beta == pytest.approx(0.5, abs=1e-12)
         assert rows[0].sd_beta == pytest.approx(np.std([2.0, -1.0], ddof=1), rel=1e-12)
+
+
+class TestSortedQuantile:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bit_equal_to_np_quantile(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        values = rng.standard_t(3, (n, 3)) * 10.0 ** rng.integers(-3, 4)
+        values[rng.random((n, 3)) < 0.3] = 1.0  # ties
+        ordered = np.sort(values, axis=0)
+        for q in [0.0, 0.05, 0.5, 0.9, 0.95, 0.999, 1.0, rng.random()]:
+            expected = np.quantile(values, q, axis=0)
+            assert sorted_quantile(ordered, q).tobytes() == expected.tobytes()
+            assert sorted_quantile(ordered[:, 0], q) == np.quantile(values[:, 0], q)

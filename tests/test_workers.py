@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from retlab import optimize, workers
+from retlab import optimize, regression, special, workers
 from retlab.errors import ValidationError
 
 
@@ -24,6 +24,11 @@ def run_fresh(probe, cwd=None):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def copy_demo(directory):
+    for name in ("demo.cfg", "demo_returns.csv", "demo_constituents.csv"):
+        (directory / name).write_bytes((resources.files("retlab") / "data" / name).read_bytes())
 
 
 def use_cpus(monkeypatch, cpus):
@@ -112,10 +117,14 @@ class TestMapPhases:
         # a module that only a stage imports would show after the report;
         # where the optimizer driver falls back to scipy.optimize, the risk
         # stage imports it, so only start-up must be without it there
-        for name in ("demo.cfg", "demo_returns.csv", "demo_constituents.csv"):
-            (tmp_path / name).write_bytes((resources.files("retlab") / "data" / name).read_bytes())
+        copy_demo(tmp_path)
         absent = {"scipy.stats", "scipy.signal", "scipy.optimize"}
-        absent_after = absent if optimize.EXTENSIONS else absent - {"scipy.optimize"}
+        # the package inits of scipy.special and scipy.linalg both import
+        # numpy.f2py, and scipy.optimize imports both packages
+        array_api = {"scipy.special", "scipy.linalg", "numpy.f2py"}
+        if special.EXTENSIONS and regression.EXTENSIONS:
+            absent |= array_api
+        absent_after = absent if optimize.EXTENSIONS else absent - {"scipy.optimize"} - array_api
         probe = (
             "import sys\n"
             "from retlab.cli.main import main\n"
@@ -128,6 +137,38 @@ class TestMapPhases:
         lines = run_fresh(probe, cwd=tmp_path).splitlines()
         # the first line is printed before the report's own lines
         assert (lines[0], lines[-1]) == ("[]", "0 []")
+
+    def test_forked_jobs_import_nothing(self, tmp_path):
+        # a module a job imports is loaded again in every worker, inside
+        # the job's time: the demo report's risk jobs and IRF blocks must
+        # find everything they use loaded before the fork
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        copy_demo(tmp_path)
+        probe = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from retlab import workers\n"
+            "from retlab.cli.main import main\n"
+            "run = workers._run\n"
+            "def recording(job):\n"
+            "    before = set(sys.modules)\n"
+            "    try:\n"
+            "        return run(job)\n"
+            "    finally:\n"
+            "        with open('jobs.txt', 'a') as log:\n"
+            "            new = sorted(set(sys.modules) - before)\n"
+            "            log.write(f'{os.getpid()} {job} {new}\\n')\n"
+            "workers._run = recording\n"
+            "print(os.getpid(), main(['report', 'demo.cfg']))\n"
+        )
+        parent, status = run_fresh(probe, cwd=tmp_path).splitlines()[-1].split()
+        assert status == "0"
+        jobs = (tmp_path / "jobs.txt").read_text().splitlines()
+        # 7 risk jobs, then the IRF bootstrap's 7 blocks and 2 band shares
+        assert len(jobs) == 16
+        assert parent not in {line.split()[0] for line in jobs}
+        assert [line for line in jobs if not line.endswith(" []")] == []
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_jobs_run_on_one_blas_thread(self, monkeypatch, cpus):
