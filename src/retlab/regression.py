@@ -12,13 +12,7 @@ from .optimize import load_scipy_function
 
 # LAPACK's pivoted QR, loaded from its file: importing `scipy.linalg` would
 # run its package init, which imports `numpy.f2py` among others
-try:
-    _dgeqp3 = load_scipy_function("linalg", "_flapack", "dgeqp3")
-except ImportError:
-    _dgeqp3 = None
-# True when check_full_rank calls dgeqp3 itself, False when it calls
-# scipy.linalg.qr
-EXTENSIONS = _dgeqp3 is not None
+_dgeqp3 = load_scipy_function("linalg", "_flapack", "dgeqp3")
 
 
 def ols(design: np.ndarray, target: np.ndarray):
@@ -59,11 +53,6 @@ def _pivoted_r_diagonal(design: np.ndarray):
     """The diagonal of R and the 0-based column pivots of the pivoted QR
     that `scipy.linalg.qr(design, mode="r", pivoting=True)` computes, with
     the same workspace query, without copying out the whole of R."""
-    if not EXTENSIONS:
-        from scipy.linalg import qr
-
-        r, pivots = qr(design, mode="r", pivoting=True)
-        return np.diag(r), pivots
     design = np.asarray_chkfinite(design)
     work = _dgeqp3(design, lwork=-1)[3]
     qr, jpvt, _, _, info = _dgeqp3(design, lwork=int(work[0]))

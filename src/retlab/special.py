@@ -13,9 +13,10 @@ loaded from scipy's extension files, as `retlab.optimize` loads L-BFGS-B:
   `special/_ufuncs_cxx` exports as `_export_f_sf_double`.
 
 Where that file or kernel is missing (older scipy), the three come from
-`scipy.special` itself, imported on first use. `ndtri` and `logsumexp` are
-retlab's own on every scipy: Cephes' `ndtri` as scipy's xsf has it, and
-scipy 1.17's `logsumexp` for real input; both give scipy 1.17's bits.
+`scipy.special` itself, imported with this module, before any job forks.
+`ndtri` and `logsumexp` are retlab's own on every scipy: Cephes' `ndtri`
+as scipy's xsf has it, and scipy 1.17's `logsumexp` for real input; both
+give scipy 1.17's bits.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ try:
     _capsule = load_scipy_function("special", "_ufuncs_cxx", "__pyx_capi__")[
         "_export_f_sf_double"
     ]
-except (ImportError, KeyError):
-    _capsule = None
-else:
     # the capsule points at the variable that holds the kernel's address
     _capsule_pointer = ctypes.PYFUNCTYPE(
         ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
@@ -43,9 +41,17 @@ else:
     _f_sf = ctypes.CFUNCTYPE(
         ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double
     )(ctypes.c_void_p.from_address(_capsule_pointer(_capsule, b"void *")).value)
+except (ImportError, KeyError, ValueError):  # ValueError: another capsule name
+    _f_sf = None
 # True when ndtr, chdtrc and fdtrc run scipy's extension kernels, False
-# when they call scipy.special
-EXTENSIONS = _capsule is not None
+# when they call scipy.special. The kernel must be F's survival function
+# with (dfn, dfd, x) in that order: F(2, 4) has survival (1 + x / 2)^-2.
+EXTENSIONS = _f_sf is not None and math.isclose(
+    _f_sf(2.0, 4.0, 1.0), 4.0 / 9.0, rel_tol=1e-12
+)
+if not EXTENSIONS:
+    # imported before any fork, so that no forked job imports it
+    import scipy.special  # noqa: F401
 
 
 def ndtr(x):

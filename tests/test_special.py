@@ -18,14 +18,12 @@ def scipy_version():
 
 @pytest.fixture(params=["extension", "fallback"])
 def path(request, monkeypatch):
-    """Run a test on the extension kernels and on the scipy.special and
-    scipy.linalg fallbacks; the extension leg skips where they are not
-    active."""
-    if request.param == "extension" and not (special.EXTENSIONS and regression.EXTENSIONS):
+    """Run a test on the extension kernels and on the scipy.special
+    fallback; the extension leg skips where they are not active."""
+    if request.param == "extension" and not special.EXTENSIONS:
         pytest.skip("this scipy lacks an extension kernel retlab loads")
     if request.param == "fallback":
         monkeypatch.setattr(special, "EXTENSIONS", False)
-        monkeypatch.setattr(regression, "EXTENSIONS", False)
     return request.param
 
 
@@ -147,7 +145,7 @@ def outcome(check, design, names):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_rank_check_names_the_offenders_scipy_qr_names(path, seed):
+def test_rank_check_names_the_offenders_scipy_qr_names(seed):
     rng = np.random.default_rng(seed)
     rows = int(rng.integers(8, 200))
     design = rank_deficient_design(rng, rows, int(rng.integers(2, min(rows, 40))))
@@ -160,7 +158,7 @@ def test_rank_check_names_the_offenders_scipy_qr_names(path, seed):
     np.testing.assert_array_equal(pivots, scipy_pivots)
 
 
-def test_rank_check_rejects_non_finite_designs(path):
+def test_rank_check_rejects_non_finite_designs():
     design = np.ones((5, 2))
     design[2, 1] = np.nan
     with pytest.raises(ValueError):
@@ -169,9 +167,7 @@ def test_rank_check_rejects_non_finite_designs(path):
 
 def test_extension_path_is_active_on_scipy_1_17_and_later():
     # on a new scipy that moves one of these kernels, they fall back to
-    # scipy.special or scipy.linalg, whose package inits the commands
-    # that call them would then run
+    # scipy.special, whose package init every command would then run
     if scipy_version() < (1, 17):
         pytest.skip(f"scipy {scipy.__version__} predates the loaded kernels")
     assert special.EXTENSIONS
-    assert regression.EXTENSIONS
