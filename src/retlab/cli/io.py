@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from collections.abc import Iterable
 from contextlib import contextmanager
 from io import StringIO
 from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 from ..errors import GapError, ParseError, ValidationError
 from ..series import (
@@ -37,6 +40,8 @@ LAYOUTS = ("wide", "long", "constituents")
 
 # the most lines in one block that `csv_line_blocks` yields
 _BLOCK_ROWS = 1024
+# month ordinals run from 0001-01 (0) to 9999-12
+_MONTHS = Month(9999, 12).ordinal + 1
 
 
 def _records(reader):
@@ -90,13 +95,64 @@ def _parse_value(text: str, line_no: int, column: str) -> float:
     return value
 
 
+class _Column:
+    """One series' cells as they are read: values and month ordinals in
+    file order, in typed arrays. While the months only rise, `top` is the
+    latest, and a repeat is impossible; from the first row that does not
+    rise, `seen` marks each month read, one byte per possible month."""
+
+    __slots__ = ("values", "ordinals", "top", "seen")
+
+    def __init__(self):
+        self.values = array("d")
+        self.ordinals = array("i")
+        self.top = -1
+        self.seen = None
+
+    def mark(self, ordinal: int) -> bool:
+        """Record that `ordinal` was read; False when it was already."""
+        seen = self.seen
+        if seen is None:
+            if ordinal > self.top:
+                self.top = ordinal
+                return True
+            seen = self.seen = bytearray(_MONTHS)
+            for read in self.ordinals:
+                seen[read] = 1
+        if seen[ordinal]:
+            return False
+        seen[ordinal] = 1
+        return True
+
+
+def _series_of(label: str, column: _Column) -> ReturnSeries:
+    """`column`'s series in month order; GapError names its first missing
+    month."""
+    ordinals = np.frombuffer(column.ordinals, dtype=np.intc)
+    values = np.frombuffer(column.values)
+    if column.seen is not None:
+        order = np.argsort(ordinals)
+        ordinals, values = ordinals[order], values[order]
+    steps = np.flatnonzero(np.diff(ordinals) != 1)
+    if steps.size:
+        prev, cur = ordinals[steps[0] : steps[0] + 2].tolist()
+        raise GapError(
+            f"series {label!r}: missing month {Month.from_ordinal(prev + 1)} "
+            f"between {Month.from_ordinal(prev)} and {Month.from_ordinal(cur)}"
+        )
+    grid = TimeGrid(Month.from_ordinal(int(ordinals[0])), len(ordinals))
+    return ReturnSeries(label, grid, values)
+
+
 def _panel_of(cells, path: Path, noun: str) -> Panel:
     """Panel on the common month span of (line, month ordinal, series,
     value text) cells; `noun` names a series in the blank-value message."""
-    by_series: dict[str, dict[int, float]] = {}
+    columns: dict[str, _Column] = {}
     for line_no, ordinal, label, text in cells:
-        bucket = by_series.setdefault(label, {})
-        if ordinal in bucket:
+        column = columns.get(label)
+        if column is None:
+            column = columns[label] = _Column()
+        if not column.mark(ordinal):
             raise ParseError(
                 f"line {line_no}: duplicate row for series {label!r} "
                 f"at {Month.from_ordinal(ordinal)}"
@@ -106,22 +162,12 @@ def _panel_of(cells, path: Path, noun: str) -> Panel:
                 f"line {line_no}: missing value for {noun} {label!r} "
                 f"at {Month.from_ordinal(ordinal)}"
             )
-        bucket[ordinal] = _parse_value(text, line_no, label)
-    if not by_series:
+        column.values.append(_parse_value(text, line_no, label))
+        column.ordinals.append(ordinal)
+    if not columns:
         raise ParseError(f"{path}: no data rows")
-
-    series = []
-    for label, bucket in by_series.items():
-        months = sorted(bucket)
-        for prev, cur in zip(months, months[1:]):
-            if cur - prev != 1:
-                raise GapError(
-                    f"series {label!r}: missing month {Month.from_ordinal(prev + 1)} "
-                    f"between {Month.from_ordinal(prev)} and {Month.from_ordinal(cur)}"
-                )
-        grid = TimeGrid(Month.from_ordinal(months[0]), len(months))
-        series.append(ReturnSeries(label, grid, [bucket[m] for m in months]))
-    return align(series)
+    # each column is freed once its series holds the values
+    return align([_series_of(label, columns.pop(label)) for label in list(columns)])
 
 
 def _wide_cells(rows, header: list[str]):

@@ -385,7 +385,7 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
     [results] = workers.map_phases((_risk_job, [(s, config.risk) for s, _ in jobs]))
 
     rows = []
-    volatility = []  # (label, grid, conditional sds) per raw-return GARCH fit
+    variances = []  # (label, grid, conditional variances) per raw-return GARCH fit
     densities = []  # (label, x grid, mixture pdf, normal pdf) per mixture fit
     for (s, basis), (report, caught, error) in zip(jobs, results):
         for category, message in caught:
@@ -402,8 +402,7 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
         if basis != "raw-returns":
             continue
         if report.garch is not None:
-            sds = np.sqrt(report.garch.conditional_variance_path)
-            volatility.append((s.label, s.grid, sds))
+            variances.append((s.label, s.grid, report.garch.conditional_variance_path))
         if report.mixture is not None:
             grid = np.linspace(s.values.min(), s.values.max(), 201)
             mix = mixture_pdf(report.mixture, -grid)  # fitted on losses
@@ -421,7 +420,9 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
     )
     artifacts += write_csv(
         out_dir / "fig_conditional_volatility.csv",
-        ["month", "series", "sd"], _series_lines(volatility),
+        ["month", "series", "sd"],
+        # each path's root is taken as its lines are written
+        _series_lines((label, grid, np.sqrt(h)) for label, grid, h in variances),
     )
     artifacts += write_csv(
         out_dir / "fig_fitted_density.csv",

@@ -200,10 +200,11 @@ def _from_natural(mu, omega, alpha, beta):
     return np.array([mu, math.log(omega), math.log(p_a / p_0), math.log(p_b / p_0)])
 
 
-def _raw_gradient(raw, natural_grad):
-    """Chain rule from natural-parameter gradient to raw coordinates."""
-    _, w, a, b = raw
-    _, omega, alpha, beta = _to_natural(raw)
+def _raw_gradient(raw, natural, natural_grad):
+    """Chain rule from natural-parameter gradient to raw coordinates;
+    `natural` is `_to_natural(raw)`."""
+    _, _, a, b = raw
+    omega = natural[1]
     g_mu, g_omega, g_alpha, g_beta = natural_grad
     ea, eb = math.exp(a), math.exp(b)
     denom = 1.0 + ea + eb
@@ -242,10 +243,11 @@ def fit_garch11(s: Series) -> GarchFit:
     workspace = _Workspace(x, h1)
 
     def objective(raw):
-        ll, grad = workspace.loglike(_to_natural(raw))
+        natural = _to_natural(raw)
+        ll, grad = workspace.loglike(natural)
         if not math.isfinite(ll):
             return 1e12, np.zeros(4)
-        return -ll, -_raw_gradient(raw, grad)
+        return -ll, -_raw_gradient(raw, natural, grad)
 
     log_h1 = math.log(h1)
     bounds = (

@@ -181,7 +181,10 @@ class Series:
         return self.grid.length
 
     def restrict(self, grid: TimeGrid) -> "Series":
-        """Same-type copy truncated to `grid`, which must lie within."""
+        """Same-type copy truncated to `grid`, which must lie within; the
+        series itself when `grid` is its own."""
+        if grid == self.grid:
+            return self
         lo = self.grid.index(grid.start)
         return replace(self, grid=grid, values=self.values[lo : lo + grid.length])
 

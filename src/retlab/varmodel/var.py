@@ -19,9 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-# numpy 2 imports numpy.random on first use, which irf makes in the
-# command's own process: import it at start-up, with numpy
-import numpy.random
 
 from .. import workers
 from ..descstats import sorted_quantile
@@ -507,6 +504,9 @@ def irf(fit: VarFit, h: int, n_boot: int = 1000, seed: int = 0) -> IrfResult:
     point = _orthogonal_responses(fit.coeff, fit.residual_cov, h)
     lower = upper = None
     if n_boot > 0:
+        # numpy 2 imports numpy.random on this first use, in the command's
+        # own process before the workers fork, so a command that never
+        # draws does not load it
         children = np.random.SeedSequence(seed).spawn(n_boot)
         blocks = range(0, n_boot, _BOOT_BLOCK)
         shards = workers.count(len(blocks))

@@ -138,6 +138,24 @@ class TestMapPhases:
         # the first line is printed before the report's own lines
         assert (lines[0], lines[-1]) == ("[]", "0 []")
 
+    def test_commands_that_never_draw_leave_numpy_random_unloaded(self, tmp_path):
+        # numpy 2 loads numpy.random on first use; only irf and synth draw
+        if int(np.__version__.split(".")[0]) < 2:
+            pytest.skip("numpy < 2 imports numpy.random with numpy")
+        copy_demo(tmp_path)
+        probe = (
+            "import sys\n"
+            "from retlab.cli.main import main\n"
+            "for command in ('risk', 'describe', 'pca', 'unitroot'):\n"
+            "    status = main([command, 'demo.cfg'])\n"
+            "    print(command, status, 'numpy.random' in sys.modules)\n"
+        )
+        lines = run_fresh(probe, cwd=tmp_path).splitlines()
+        verdicts = [line for line in lines if line.endswith((" True", " False"))]
+        assert verdicts == [
+            "risk 0 False", "describe 0 False", "pca 0 False", "unitroot 0 False",
+        ]
+
     def test_forked_jobs_import_nothing(self, tmp_path):
         # a module a job imports is loaded again in every worker, inside
         # the job's time: the demo report's risk jobs and IRF blocks must
