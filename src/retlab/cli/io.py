@@ -209,6 +209,8 @@ def ingest_wide(path: Path) -> Panel:
                 f"got {','.join(header)!r}"
             )
         labels = header[1:]
+        if "" in labels:
+            raise ParseError(f"line {header_line}: empty series name in header")
         if len(set(labels)) != len(labels):
             raise ParseError(f"line {header_line}: duplicate series column in header")
         return _panel_of(_wide_cells(rows, header), path, "column")
@@ -285,32 +287,24 @@ def csv_cell(text: str) -> str:
 def csv_line_blocks(columns):
     """Blocks of whole `write_csv` lines, at most _BLOCK_ROWS each, whose
     cells are read side by side from `columns`, iterables of cell text
-    (a label as `csv_cell` gives it, a float as its `repr`)."""
+    (a label as `csv_cell` gives it, a number as its `str`). Two or more
+    columns: `csv.writer` would write a lone empty cell as `""`."""
     lines = map(",".join, zip(*columns))
     while block := list(islice(lines, _BLOCK_ROWS)):
         yield "\n".join(block) + "\n"
 
 
-def write_csv(path: Path, header: list[str], rows: Iterable[list | str]) -> list[str]:
-    """Emit a full-precision CSV with LF line endings; `rows` may be a
-    generator, each row made as it is written.
-
-    A row that is a list goes through `csv.writer`, which writes None as
-    an empty cell and any other cell as its `str`, which for a float
-    (numpy's included) is the shortest decimal that round-trips it
-    exactly. A row that is a `str` is a block of whole lines already in
-    that form, as `csv_line_blocks` makes them, and is written as it is.
+def write_csv(path: Path, header: list[str], blocks: Iterable[str]) -> list[str]:
+    """Emit a full-precision CSV with LF line endings: the `header` line,
+    each name quoted by `csv_cell`, then `blocks`, each a block of whole
+    lines as `csv_line_blocks` makes them, written as it comes, so a
+    generator's blocks are made as they are written.
 
     Returns the artifact file names.
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            if isinstance(row, str):
-                handle.write(row)
-            else:
-                writer.writerow(row)
+        handle.write(",".join(map(csv_cell, header)) + "\n")
+        handle.writelines(blocks)
     return [path.name]
 
 
@@ -319,9 +313,6 @@ def write_panel(path: Path, panel: Panel) -> list[str]:
 
     Returns the artifact file names.
     """
-    header = ["date"] + list(panel.labels)
-    rows = (
-        [month, *values.tolist()]
-        for month, values in zip(panel.grid.labels(), panel.values)
-    )
-    return write_csv(path, header, rows)
+    return write_csv(path, ["date", *panel.labels], csv_line_blocks((
+        panel.grid.labels(), *(map(repr, s.values.tolist()) for s in panel.series)
+    )))

@@ -14,9 +14,10 @@ the status but appear in the manifest.
 from __future__ import annotations
 
 import json
+import shutil
 import warnings
 from dataclasses import astuple, dataclass, field, fields, is_dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -229,7 +230,7 @@ def _stage_describe(ws: Workspace, config: RunConfig, out_dir: Path):
                 cs_rows,
             )
 
-    fig_correlogram = []
+    correlograms = []  # the columns of cell text of each curve
     for s in targets:
         pairs = [("auto", s, s)]
         if ws.market is not None and s.label != ws.market.label:
@@ -241,8 +242,13 @@ def _stage_describe(ws: Workspace, config: RunConfig, out_dir: Path):
                 )
         try:
             for kind, x, y in pairs:
-                for entry in correlogram(x, y, config.correlogram_lags):
-                    fig_correlogram.append([kind, s.label, entry.lag, entry.value, entry.band])
+                entries = correlogram(x, y, config.correlogram_lags)
+                correlograms.append((
+                    repeat(csv_cell(kind)), repeat(csv_cell(s.label)),
+                    [str(e.lag) for e in entries],
+                    [float.__repr__(e.value) for e in entries],
+                    [float.__repr__(e.band) for e in entries],
+                ))
         except RetlabError as exc:
             errors.append(f"{s.label}: {exc}")
     artifacts += write_csv(
@@ -258,7 +264,7 @@ def _stage_describe(ws: Workspace, config: RunConfig, out_dir: Path):
     artifacts += write_csv(
         out_dir / "fig_correlogram.csv",
         ["kind", "series", "lag", "value", "band"],
-        fig_correlogram,
+        chain.from_iterable(map(csv_line_blocks, correlograms)),
     )
     return artifacts, params, errors
 
@@ -285,7 +291,9 @@ def _stage_pca(ws: Workspace, config: RunConfig, out_dir: Path):
     artifacts += write_table(
         out_dir, "scree", "Variance explained by component", scree_header, scree_rows
     )
-    artifacts += write_csv(out_dir / "fig_scree.csv", scree_header, scree_rows)
+    # the scree figure is the scree table's CSV twin, byte for byte
+    shutil.copyfile(out_dir / "scree.csv", out_dir / "fig_scree.csv")
+    artifacts.append("fig_scree.csv")
 
     reg_rows = []
     reg_params = {}
@@ -386,7 +394,7 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
 
     rows = []
     variances = []  # (label, grid, conditional variances) per raw-return GARCH fit
-    densities = []  # (label, x grid, mixture pdf, normal pdf) per mixture fit
+    densities = []  # the columns of cell text of each mixture fit's curves
     for (s, basis), (report, caught, error) in zip(jobs, results):
         for category, message in caught:
             warnings.warn(f"{s.label} ({basis}): {message}", category)
@@ -410,7 +418,10 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
             normal = np.exp(-0.5 * ((grid - mu) / sd) ** 2) / (
                 sd * np.sqrt(2 * np.pi)
             )
-            densities.append((s.label, grid, mix, normal))
+            densities.append((
+                repeat(csv_cell(s.label)),
+                *(map(repr, c.tolist()) for c in (grid, mix, normal)),
+            ))
     errors += [f"{label} (residuals): {error}" for label, error in sweep_errors.items()]
 
     artifacts += write_table(
@@ -427,7 +438,7 @@ def _stage_risk(ws: Workspace, config: RunConfig, out_dir: Path):
     artifacts += write_csv(
         out_dir / "fig_fitted_density.csv",
         ["series", "x", "mixture_pdf", "normal_pdf"],
-        ([label, *cells] for label, *curves in densities for cells in zip(*curves)),
+        chain.from_iterable(map(csv_line_blocks, densities)),
     )
     return artifacts, params, errors
 

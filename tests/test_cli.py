@@ -133,6 +133,17 @@ class TestIngestWide:
         with pytest.raises(ParseError, match="header"):
             ingest_wide(path)
 
+    @pytest.mark.parametrize("lines, header_line", [
+        (["date,,REIT"], 1), (["date,REIT, "], 1), (["", "date,,REIT"], 2),
+    ])
+    def test_empty_series_name_names_the_header_line(self, tmp_path, lines, header_line):
+        path = tmp_path / "p.csv"
+        write_lines(path, [*lines, "2001-01,1.0,2.0"])
+        with pytest.raises(
+            ParseError, match=f"^line {header_line}: empty series name in header$"
+        ):
+            ingest_wide(path)
+
     def test_file_closes_before_a_mid_file_error_propagates(self, tmp_path, monkeypatch):
         path = tmp_path / "p.csv"
         write_lines(path, ["date,x", "2001-01,1.0", "2001-02,oops", "2001-03,3.0"])
@@ -545,13 +556,22 @@ class TestCommands:
         }
 
     def test_write_csv_cells_of_every_emitted_type(self, tmp_path):
-        # floats, numpy's included, as their shortest round-trip decimal
+        # each cell as the writers make it: a label quoted by csv_cell, a
+        # missing cell empty and any other value its str, which for a float
+        # (numpy's included) is the shortest round-trip decimal
         row = [
             "REIT", "a,b", 12, 0.1, 1e16, 1e-5, 5e-324, -0.0, float("nan"),
             True, None, np.float64(1 / 3), np.float64("-inf"), np.int64(-7),
             np.bool_(False),
         ]
-        write_csv(tmp_path / "cells.csv", [f"c{i}" for i in range(len(row))], [row])
+        cells = [
+            "" if v is None else cli_io.csv_cell(v) if isinstance(v, str) else str(v)
+            for v in row
+        ]
+        write_csv(
+            tmp_path / "cells.csv", [f"c{i}" for i in range(len(row))],
+            cli_io.csv_line_blocks([cell] for cell in cells),
+        )
         lines = (tmp_path / "cells.csv").read_text().splitlines()
         assert lines[1] == (
             'REIT,"a,b",12,0.1,1e+16,1e-05,5e-324,-0.0,nan,'
