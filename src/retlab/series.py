@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 
-_MONTH_PATTERN = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_PATTERN = re.compile(r"^(\d{4})-(\d{2})$", re.ASCII)
 
 
 @dataclass(frozen=True, order=True)

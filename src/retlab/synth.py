@@ -54,6 +54,12 @@ class GeneratorSpec:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if not (0 <= int(self.seed) < 2**64):
             raise ValidationError(f"seed must fit in 64 bits, got {self.seed}")
+        # a label names a column of the CSV `synth` writes; none is empty
+        labels = self.parameters.get("labels")
+        if self.parameters.get("label") == "" or (
+            isinstance(labels, (list, tuple)) and "" in labels
+        ):
+            raise ValidationError("empty series label")
 
 
 def _param(params: Mapping[str, Any], key: str, default: Any = None) -> Any:

@@ -10,12 +10,16 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import retlab
 from retlab import risk
@@ -87,6 +91,18 @@ class TestIngestWide:
         path = tmp_path / "p.csv"
         write_lines(path, ["date,x", "2001-01,1.0", "2001-02,oops"])
         with pytest.raises(ParseError, match=r"line 3.*'x'"):
+            ingest_wide(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("２０００-０１,1.0", "line 2: malformed date '２０００-０１'"),
+        ("2000-01,1_0", "line 2: non-numeric value '1_0' in column 'x'"),
+        ("2000-01,１", "line 2: non-numeric value '１' in column 'x'"),
+    ])
+    def test_non_ascii_digits_and_underscores_are_rejected(self, tmp_path, row, message):
+        # float() and a bare \d read both
+        path = tmp_path / "p.csv"
+        write_lines(path, ["date,x", row])
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             ingest_wide(path)
 
     def test_error_after_a_cell_spanning_lines_names_its_physical_line(self, tmp_path):
@@ -215,6 +231,17 @@ class TestIngestLong:
         ):
             ingest_long(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("２０００-０１,a,1.0", "line 2: malformed date '２０００-０１'"),
+        ("2000-01,a_1,1_0", "line 2: non-numeric value '1_0' in column 'a_1'"),
+        ("2000-01,a,٣", "line 2: non-numeric value '٣' in column 'a'"),
+    ])
+    def test_non_ascii_digits_and_underscores_are_rejected(self, tmp_path, row, message):
+        path = tmp_path / "l.csv"
+        write_lines(path, ["date,series,value", row])
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            ingest_long(path)
+
     def test_gap_names_series(self, tmp_path):
         path = tmp_path / "l.csv"
         write_lines(path, [
@@ -298,6 +325,188 @@ class TestIngestLong:
         # float in a per-series dict peaks at 2.5 times this file's size
         peak, size = self.traced_ingest(tmp_path)
         assert peak <= 1.5 * size, f"peak {peak / size:.2f}x the file size"
+
+
+# cells a return file may hold, by column, each to be read as the
+# checked reader reads it
+ODD_DATES = [
+    "", "x", "２０００-０１", "2000-13", "2000-00", "0000-01", "2000-1", "200-01",
+    "2000-011", "2000-01-01", "12000-01", "2000/01", "2000-0a",
+]
+ODD_LABELS = ["", "Ä", "a,b", "date"]
+ODD_VALUES = [
+    "", "x", "nan", "inf", "-inf", "1e400", "1e-400", "-0.0", "+.5", "5.", "1e5",
+    "0x10", "1_0", "1__0", "１", "٣", "a,b", "2000-01", "-100", "-100.5",
+]
+# three months in a row, whose odd date a laxer reading would take for
+# the month it stands for
+ODD_DATE_RUNS = [
+    ("0000-12", "0001-01", "0001-02"), ("1999-11", "2000-00", "2000-01"),
+    ("2000-01", "1999-14", "2000-03"), ("2000-01", "2000/02", "2000-03"),
+    ("2000-01", "199:-02", "2000-03"), ("2000-01", "2000-021", "2000-03"),
+    ("2000-01", "2000-02-01", "2000-03"), ("2000-01", "２０００-０２", "2000-03"),
+    ("2000-01", " 2000-02", "2000-03"), ("2000-01", "", "2000-03"),
+]
+BULK_LABELS = ["A", "B_1", "c.d", "REIT", "x y"]
+FAULTS = ["cell", "duplicate", "drop", "quote", "space", "blank", "comma", "header"]
+
+
+@st.composite
+def return_files(draw):
+    """A wide or long returns file as bytes, rows in or out of month
+    order, with up to two drawn faults."""
+    layout = draw(st.sampled_from(["wide", "long"]))
+    labels = draw(st.lists(st.sampled_from(BULK_LABELS), min_size=1, max_size=3, unique=True))
+    start = draw(st.one_of(st.just(0), st.integers(0, Month.parse("9999-01").ordinal)))
+    value = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    if layout == "wide":
+        header = ["date", *labels]
+        n = draw(st.integers(1, 8))
+        rows = [
+            [str(Month.from_ordinal(start + t)),
+             *draw(st.lists(value, min_size=len(labels), max_size=len(labels)))]
+            for t in range(n)
+        ]
+    else:
+        header = ["date", "series", "value"]
+        rows = []
+        for label in labels:
+            first, n = draw(st.integers(0, 2)), draw(st.integers(1, 8))
+            rows += [[str(Month.from_ordinal(start + first + t)), label, draw(value)]
+                     for t in range(n)]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        j = draw(st.integers(0, len(row) - 1)) if row else 0
+        if fault == "cell" and row:
+            odd = ODD_DATES if j == 0 else ODD_LABELS if layout == "long" and j == 1 else ODD_VALUES
+            row[j] = draw(st.sampled_from(odd))
+        elif fault == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(row))
+        elif fault == "drop" and len(rows) > 1:
+            del rows[i]
+        elif fault == "quote" and row:
+            row[j] = f'"{row[j]}"'
+        elif fault == "space" and row:
+            row[j] = draw(st.sampled_from([f" {row[j]}", f"{row[j]} ", f"{row[j]}\t"]))
+        elif fault == "blank":
+            rows.insert(i, [])
+        elif fault == "comma":
+            row.append("")
+        elif fault == "header":
+            header[draw(st.integers(0, len(header) - 1))] = draw(
+                st.sampled_from(["", " date", '"date"', "value", *labels])
+            )
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(",".join(row) for row in [header, *rows])
+    if draw(st.booleans()):
+        text += newline
+    return layout, text.encode("utf-8")
+
+
+def ingest_outcome(path, layout):
+    """The panel's labels, grid and value bits, or the error's type and
+    message."""
+    try:
+        panel = ingest(path, layout)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return panel.labels, panel.grid, [s.values.tobytes() for s in panel.series]
+
+
+def checked_outcome(path, layout):
+    """`ingest_outcome` of the checked reader on its own."""
+    with mock.patch.object(cli_io, "_bulk_columns", lambda read, handle: None):
+        return ingest_outcome(path, layout)
+
+
+class TestBulkIngest:
+    @settings(max_examples=600, deadline=None)
+    @given(return_files(), st.sampled_from([8, 64, 1 << 15]))
+    def test_bulk_reader_gives_the_checked_readers_panel_or_error(self, file, chunk_bytes):
+        # small blocks put block edges inside a line, between a duplicate
+        # and its first row, and across a gap
+        layout, data = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "returns.csv"
+            path.write_bytes(data)
+            with mock.patch.object(cli_io, "_CHUNK_BYTES", chunk_bytes):
+                got = ingest_outcome(path, layout)
+            assert got == checked_outcome(path, layout)
+
+    @pytest.mark.parametrize("layout, dates, column, cell", [
+        *((layout, dates, None, None) for layout in ("wide", "long") for dates in ODD_DATE_RUNS),
+        *(("wide", None, 1, cell) for cell in ODD_VALUES),
+        *(("long", None, 1, cell) for cell in ODD_LABELS),
+        *(("long", None, 2, cell) for cell in ODD_VALUES),
+    ])
+    def test_each_odd_cell_is_read_as_the_checked_reader_reads_it(
+        self, tmp_path, layout, dates, column, cell
+    ):
+        rows = [[date, value] for date, value in zip(
+            dates or ("2000-01", "2000-02", "2000-03"), ("1.0", "2.0", "3.0")
+        )]
+        if layout == "long":
+            rows = [[date, "A", value] for date, value in rows]
+        if layout == "long" and column == 1:
+            # a series of its own, one month long: no gap shows it
+            rows.append(["2000-02", cell, "4.0"])
+        elif column is not None:
+            rows[1][column] = cell
+        header = "date,A" if layout == "wide" else "date,series,value"
+        path = tmp_path / "r.csv"
+        write_lines(path, [header, *map(",".join, rows)])
+        assert ingest_outcome(path, layout) == checked_outcome(path, layout)
+
+    @pytest.mark.parametrize("layout, header", [
+        ("wide", "date,A,A"), ("wide", "date,,A"), ("wide", "date,A,"), ("wide", "date"),
+        ("wide", "Date,A,B"), ("wide", "date,A B,C"), ("wide", '"date",A,B'),
+        ("wide", "date,Ä,B"), ("long", "date,series"), ("long", "date,series,value,"),
+        ("long", " date,series,value"), ("long", "date,series,Value"),
+    ])
+    def test_each_odd_header_is_read_as_the_checked_reader_reads_it(
+        self, tmp_path, layout, header
+    ):
+        row = "2000-01,1.0,2.0" if layout == "wide" else "2000-01,A,1.0"
+        path = tmp_path / "r.csv"
+        write_lines(path, [header, row])
+        assert ingest_outcome(path, layout) == checked_outcome(path, layout)
+
+    @pytest.mark.parametrize("layout", ["wide", "long"])
+    @pytest.mark.parametrize("last_newline", [True, False])
+    def test_plain_file_is_read_in_bulk(self, tmp_path, monkeypatch, layout, last_newline):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((40, 3))
+        months = TimeGrid(Month.parse("1999-11"), 40).labels()
+        if layout == "wide":
+            lines = ["date,A,B_1,c.d"] + [
+                ",".join([m, *map(repr, row.tolist())]) for m, row in zip(months, values)
+            ]
+        else:
+            lines = ["date,series,value"] + [
+                f"{m},{label},{value!r}"
+                for m, row in zip(months, values.tolist())
+                for label, value in zip(["A", "B_1", "c.d"], row)
+            ]
+        body = lines[1:]
+        rng.shuffle(body)
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join([lines[0], *body]) + "\n" * last_newline, encoding="utf-8")
+
+        def unasked(*args):
+            raise AssertionError("the checked reader read a plain file")
+
+        monkeypatch.setattr(cli_io, "_CHUNK_BYTES", 64)
+        monkeypatch.setattr(cli_io, "_checked_records", unasked)
+        panel = ingest(path, layout)
+        # a long file's series come in the order of their first rows
+        first_rows = [line.split(",")[1] for line in body] if layout == "long" else []
+        assert panel.labels == list(dict.fromkeys([*first_rows, "A", "B_1", "c.d"]))
+        assert panel.grid == TimeGrid(Month.parse("1999-11"), 40)
+        for j, label in enumerate(["A", "B_1", "c.d"]):
+            np.testing.assert_array_equal(panel.select(label).values, values[:, j])
 
 
 class TestIngestConstituents:
@@ -407,6 +616,19 @@ class TestConfig:
         cfg = tmp_path / "r.cfg"
         cfg.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match=message):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("params", [
+        '{"label": "", "omega": 0.1, "alpha": 0.1, "beta": 0.8}',
+        '{"labels": ["A", ""]}',
+    ])
+    def test_synth_empty_label_names_its_section(self, tmp_path, params):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(
+            f"[synth.x]\nkind = factor-panel\nn = 100\nparams = {params}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValidationError, match=r"^\[synth\.x\]: empty series label$"):
             load_config(cfg)
 
     def test_bad_synth_json(self, tmp_path):
