@@ -218,8 +218,9 @@ def load_config(path: Path) -> RunConfig:
     """Parse and validate a run configuration file.
 
     Raises:
-        ParseError: unreadable file, bad syntax, an unknown section or
-            key, bad typed value, or a missing referenced input file.
+        ParseError: unreadable or non-UTF-8 file, bad syntax, an unknown
+            section or key, bad typed value, or a missing referenced input
+            file.
         ValidationError: well-formed values that violate an invariant
             (fractiles outside (0.5,1), bad criterion, ...).
     """
@@ -231,6 +232,8 @@ def load_config(path: Path) -> RunConfig:
             parser.read_file(handle)
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config {path} is not UTF-8: {exc}") from exc
     except configparser.Error as exc:
         raise ParseError(f"{path}: {exc}") from exc
     _check_keys(parser)

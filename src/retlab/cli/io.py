@@ -75,10 +75,13 @@ def _records(reader):
     the physical one the record starts on: after a quoted cell that spans
     lines it runs ahead of the count of records."""
     line_no = 1
-    for row in reader:
-        if row:
-            yield line_no, [cell.strip() for cell in row]
-        line_no = reader.line_num + 1
+    try:
+        for row in reader:
+            if row:
+                yield line_no, [cell.strip() for cell in row]
+            line_no = reader.line_num + 1
+    except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
+        raise ParseError(f"line {line_no}: {exc}") from exc
 
 
 @contextmanager

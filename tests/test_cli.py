@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import importlib.resources
 import json
-import multiprocessing
 import os
 import re
 import shutil
@@ -564,6 +563,43 @@ class TestIngestConstituents:
             ingest(path, "tall")
 
 
+# each layout's header and a well-formed row of it
+LAYOUT_LINES = {
+    "wide": ("date,x", "2000-02,1.0"),
+    "long": ("date,series,value", "2000-02,x,1.0"),
+    "constituents": ("date,id,return,market_cap", "2000-02,A,1.0,2.0"),
+}
+
+
+class TestIngestBoundaries:
+    @pytest.mark.parametrize("layout, row", [
+        ("wide", "2000-01,{cell}"),
+        ("long", "2000-01,x,{cell}"),
+        ("constituents", "2000-01,{cell},1.0,2.0"),
+    ])
+    def test_a_cell_over_the_csv_field_limit_names_its_line(self, tmp_path, layout, row):
+        path = tmp_path / "r.csv"
+        cell = "1" * (csv.field_size_limit() + 1)
+        write_lines(path, [*LAYOUT_LINES[layout], row.format(cell=cell)])
+        with pytest.raises(ParseError, match=r"^line 3: field larger than field limit"):
+            ingest(path, layout)
+
+    @pytest.mark.parametrize("layout, line", [
+        ("wide", b"date,x\xed\xa0\x80"),
+        ("long", b"2000-01,x\xed\xa0\x80,1.0"),
+        ("constituents", b"2000-01,A\xed\xa0\x80,1.0,2.0"),
+    ])
+    def test_a_lone_surrogate_is_not_utf8(self, tmp_path, layout, line):
+        # the bytes would encode U+D800, which UTF-8 forbids: no label or
+        # id that reaches a writer can hold a lone surrogate
+        header, row = (text.encode() for text in LAYOUT_LINES[layout])
+        path = tmp_path / "r.csv"
+        lines = [line, row] if layout == "wide" else [header, line, row]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError, match=r"r\.csv is not UTF-8"):
+            ingest(path, layout)
+
+
 DEMO_DIR = importlib.resources.files("retlab") / "data"
 
 
@@ -926,6 +962,12 @@ class TestCommands:
     def test_unreadable_config_exits_2(self, tmp_path):
         assert main(["describe", str(tmp_path / "absent.cfg")]) == 2
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"[risk]\nfractiles = 0.9\n[synth.x\xed\xa0\x80]\nkind = garch\n")
+        assert main(["risk", str(cfg)]) == 2
+        assert re.match(r"error: config .*bad\.cfg is not UTF-8", capsys.readouterr().err)
+
     def test_synth_command(self, tmp_path):
         extra = (
             "[synth.mix]\nkind = mixture\nn = 50\n"
@@ -1168,7 +1210,8 @@ def run_with_workers(monkeypatch, command, config_path, out_dir, workers):
 
     def map_phases_then_check(*phases):
         results = map_phases(*phases)
-        assert multiprocessing.active_children() == [], "a worker outlived the map"
+        with pytest.raises(ChildProcessError):  # no child left, reaped or not
+            os.waitpid(-1, os.WNOHANG)
         return results
 
     monkeypatch.setattr(retlab.workers, "map_phases", map_phases_then_check)

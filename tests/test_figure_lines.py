@@ -19,7 +19,12 @@ from retlab.series import Month, TimeGrid
 
 LABELS = st.one_of(
     st.sampled_from(["", " A ", "a,b", 'q"q', "a\nb", "a\rb", '"', "é€猫"]),
-    st.text(alphabet=st.characters(blacklist_characters="\x00"), max_size=6),
+    # the text a label can hold: ingest rejects a file that is not UTF-8,
+    # so no lone surrogate (category Cs) reaches a writer
+    st.text(
+        alphabet=st.characters(exclude_characters="\x00", exclude_categories=("Cs",)),
+        max_size=6,
+    ),
 )
 FLOATS = st.one_of(
     st.sampled_from([-0.0, 5e-324, 1e16, 1e-5, math.inf, -math.inf, 0.1]),

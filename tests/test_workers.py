@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -35,8 +34,19 @@ def use_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
+def assert_no_child_left():
+    # the OS's view, not a registry of one module's processes: a worker
+    # left running or unreaped would show here
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
 def slow_in_reverse(job):
-    # the first jobs take longest, so they finish last in a pool
+    # the first jobs take longest, so on two workers they finish last
     time.sleep(0.02 * (5 - job))
     return job * job, os.getpid()
 
@@ -58,7 +68,7 @@ class TestMapPhases:
         results = workers.map_phases((slow_in_reverse, range(5)))[0]
         assert [value for value, _ in results] == [0, 1, 4, 9, 16]
         assert os.getpid() not in {pid for _, pid in results}
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_one_cpu_runs_in_the_caller_with_the_same_results(self, monkeypatch):
         use_cpus(monkeypatch, 2)
@@ -79,7 +89,65 @@ class TestMapPhases:
 
         with pytest.raises(ValidationError, match="job 3 is bad"):
             workers.map_phases((fail_on_three, range(6)))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    def test_the_first_failing_job_in_job_order_wins(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        failed_at = workers.shared_empty(6)
+        failed_at[:] = 0
+
+        def fail_one_late_and_four_early(job):
+            if job == 1:  # jobs 2 to 4 run on the other worker meanwhile
+                deadline = time.monotonic() + 10
+                while not failed_at[4] and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                time.sleep(0.2)  # the caller holds job 4's error first
+            if job in (1, 4):
+                failed_at[job] = time.monotonic()
+                raise ValidationError(f"job {job} is bad")
+            return job
+
+        ran = []
+        with pytest.raises(ValidationError, match="job 1 is bad"):
+            workers.map_phases((fail_one_late_and_four_early, range(6)), (ran.append, [0]))
+        assert failed_at[4] < failed_at[1]
+        assert ran == []  # no later phase ran
+        assert_no_child_left()
+
+    def test_a_dead_worker_raises_and_leaves_no_child(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+
+        def die_on_two(job):
+            if job == 2:
+                os._exit(3)
+            return job
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"died \(exit status 3\) running job 2 of phase 0"):
+            workers.map_phases((die_on_two, range(6)))
+        assert time.monotonic() - start < 10
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_no_fd_outlives_a_map(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+
+        def fail_or_die(job):
+            if job == 3:
+                raise ValidationError("bad")
+            if job == 5:
+                os._exit(1)
+            return job
+
+        before = open_fds()
+        workers.map_phases((abs, range(7)))
+        assert open_fds() == before
+        with pytest.raises(ValidationError):
+            workers.map_phases((fail_or_die, range(4)))
+        assert open_fds() == before
+        with pytest.raises(RuntimeError):
+            workers.map_phases((fail_or_die, [5, 6]))
+        assert open_fds() == before
 
     def test_later_phases_see_shared_writes_on_the_same_workers(self, monkeypatch):
         use_cpus(monkeypatch, 2)
@@ -106,12 +174,21 @@ class TestMapPhases:
         assert len(forks) == 2
         np.testing.assert_array_equal(shared, np.arange(4.0)[:, None] * np.ones(3))
 
-    def test_no_pool_modules_at_start_up(self):
+    def test_no_pool_modules_at_start_up(self, tmp_path):
+        # the report forks its risk and IRF workers itself
+        copy_demo(tmp_path)
         probe = (
-            "import sys, retlab.cli.main, retlab.varmodel; "
-            "print('multiprocessing' in sys.modules)"
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from retlab.cli.main import main\n"
+            "import retlab.varmodel\n"
+            "pool = {'multiprocessing', 'concurrent.futures'}\n"
+            "print(sorted(pool & set(sys.modules)))\n"
+            "status = main(['report', 'demo.cfg'])\n"
+            "print(status, sorted(pool & set(sys.modules)))\n"
         )
-        assert run_fresh(probe) == "False"
+        lines = run_fresh(probe, cwd=tmp_path).splitlines()
+        assert (lines[0], lines[-1]) == ("[]", "0 []")
 
     def test_no_scipy_stats_or_signal_at_start_up_or_after_a_report(self, tmp_path):
         # a module that only a stage imports would show after the report;
