@@ -10,7 +10,6 @@ from .io import (
     write_csv,
     write_panel,
 )
-from .main import main
 from .pipeline import COMMANDS, run
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "ingest_long",
     "ingest_wide",
     "load_config",
-    "main",
     "run",
     "write_csv",
     "write_panel",

@@ -644,13 +644,7 @@ def run(command: str, config: RunConfig) -> int:
         "fractiles": list(config.risk.fractiles),
         "panel": list(ws.panel.labels) if ws is not None else None,
         "market": config.market,
-        "stages": [
-            {
-                "name": o.name, "status": o.status, "error": o.error,
-                "warnings": o.warnings, "artifacts": o.artifacts,
-            }
-            for o in outcomes
-        ],
+        "stages": _jsonable(outcomes),
         "parameters": _jsonable(parameters),
     }
     with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as handle:

@@ -27,7 +27,7 @@ from ..errors import (
 )
 from ..optimize import minimize_lbfgsb
 from ..series import Series
-from ..special import logsumexp, ndtr
+from ..special import ndtr
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -108,8 +108,13 @@ class MixtureFit:
 def mixture_logpdf(x: np.ndarray, weights, means, sds) -> np.ndarray:
     """Pointwise log density of a Gaussian mixture."""
     z = (x[:, None] - np.asarray(means)[None, :]) / np.asarray(sds)[None, :]
-    comp = -0.5 * (z**2 + _LOG_2PI) - np.log(sds)[None, :]
-    return logsumexp(comp + np.log(weights)[None, :], axis=1)
+    comp = -0.5 * (z**2 + _LOG_2PI) - np.log(sds)[None, :] + np.log(weights)[None, :]
+    # shift by each point's largest component; a point where every
+    # component is -inf shifts by 0 and stays -inf
+    mx = comp.max(axis=1)
+    mx[~np.isfinite(mx)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(comp - mx[:, None]).sum(axis=1)) + mx
 
 
 def mixture_pdf(fit: MixtureFit, x) -> np.ndarray:
@@ -149,9 +154,11 @@ class _Workspace:
     The E-step runs in (k, n) layout so every heavy pass is over a
     contiguous row. Each component's log density is the quadratic
     a*x^2 + b*x + c, so the whole (k, n) table is one small matrix
-    product against a fixed (3, n) design, and the M-step sufficient
-    statistics (sum r, sum r*x, sum r*x^2) come from one (k, n) @ (n, 3)
-    product on the other side.
+    product against a fixed (3, n) design of rows x^2, x, 1. The
+    densities divided by their mixture sum are the responsibilities r,
+    each at most 1, so the M-step sufficient statistics (sum r*x^2,
+    sum r*x, sum r) are one product of r with that same design and
+    cannot overflow.
 
     The usual logsumexp max-shift is skipped on the fast path: densities
     are exponentiated directly, and only if some point underflows in
@@ -163,17 +170,14 @@ class _Workspace:
     def __init__(self, x: np.ndarray, k: int):
         n = len(x)
         self.x = x
-        self.x2 = x * x
         self.design = np.empty((3, n))
-        self.design[0] = self.x2
+        self.design[0] = x * x
         self.design[1] = x
         self.design[2] = 1.0
         self.quad = np.empty((k, 3))
         self.buf = np.empty((k, n))
         self.mx = np.empty(n)
         self.s = np.empty(n)
-        self.scratch = np.empty(n)
-        self.targets = np.empty((3, n))
         self.stats = np.empty((k, 3))
 
     def _log_densities(self, w, mu, sd):
@@ -216,17 +220,12 @@ class _Workspace:
             for m in range(1, k):
                 s += buf[m]
             shift = float(mx.sum())
-        np.log(s, out=self.scratch)
-        ll = float(self.scratch.sum()) + shift
-
-        np.reciprocal(s, out=self.scratch)
-        targets = self.targets
-        np.copyto(targets[0], self.scratch)
-        np.multiply(self.x, self.scratch, out=targets[1])
-        np.multiply(self.x2, self.scratch, out=targets[2])
+        buf /= s  # responsibilities, each at most 1
         stats = self.stats
-        np.matmul(buf, targets.T, out=stats)
-        return ll, stats[:, 0], stats[:, 1], stats[:, 2]
+        np.matmul(buf, self.design.T, out=stats)
+        np.log(s, out=s)
+        ll = float(s.sum()) + shift
+        return ll, stats[:, 2], stats[:, 1], stats[:, 0]
 
 
 # densities far from a component underflow to 0 by design; the state is
@@ -305,8 +304,9 @@ def _polish(w, mu, sd, work: _Workspace):
 
     def objective(theta):
         ll, grad = _score(theta, k, work)
-        # where the E-step's moments overflow, the gradient is not finite
-        # and a step along it would be NaN: report the point as
+        # where a trial point lies so far out that its arithmetic
+        # overflows (a mean whose square is inf), the gradient is not
+        # finite and a step along it would be NaN: report the point as
         # infeasible, so that the line search backs away from it
         if not np.isfinite(grad).all():
             return np.inf, np.zeros_like(theta)

@@ -14,9 +14,8 @@ loaded from scipy's extension files, as `retlab.optimize` loads L-BFGS-B:
 
 Where that file or kernel is missing (older scipy), the three come from
 `scipy.special` itself, imported with this module, before any job forks.
-`ndtri` and `logsumexp` are retlab's own on every scipy: Cephes' `ndtri`
-as scipy's xsf has it, and scipy 1.17's `logsumexp` for real input; both
-give scipy 1.17's bits.
+`ndtri` is retlab's own on every scipy: Cephes' `ndtri` as scipy's xsf
+has it, which gives scipy 1.17's bits.
 """
 
 from __future__ import annotations
@@ -159,25 +158,3 @@ def ndtri(y0: float) -> np.float64:
     x = x0 - x1
     return np.float64(-x if negate else x)
 
-
-def logsumexp(a, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along `axis` of a real array: scipy 1.17's
-    `logsumexp(a, axis=axis)`, bit for bit.
-
-    The largest entries are taken out of the sum, which runs on
-    exp(a - max); where that gives no finite result (an axis of -inf, an
-    inf or a NaN), the direct log(sum(exp(a))) stands, as in scipy.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = np.log(np.sum(np.exp(a), axis=axis))
-        a_max = np.max(a, axis=axis, keepdims=True)
-        at_max = a == a_max
-        m = np.sum(at_max, axis=axis, keepdims=True, dtype=np.float64)
-        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis,
-                   keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        # s >= 0 and m >= 0, so scipy's step that sets a negative sign's
-        # result to NaN never applies
-        out = np.squeeze(np.log1p(s) + np.log(m) + a_max, axis=axis)
-    return np.where(np.isfinite(out), out, direct)

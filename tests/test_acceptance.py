@@ -14,7 +14,7 @@ from scipy.signal import lfilter
 from scipy.special import ndtri
 from scipy.stats import chi2
 
-from retlab.cli import main
+from retlab.cli.main import main
 from retlab.descstats import JB_CRITICAL_5PCT, describe, ols_beta
 from retlab.distfit import (
     MixtureFit,

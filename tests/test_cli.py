@@ -1009,13 +1009,15 @@ class TestCommands:
         assert proc.returncode == 0, proc.stderr
         assert "describe: ok" in proc.stdout
 
-    def test_python_m_retlab_runs_without_warning(self, tmp_path):
-        """``python -m retlab`` is the no-install way to run the command
-        line; it must not trip runpy's double-import RuntimeWarning."""
+    @pytest.mark.parametrize("module", ["retlab", "retlab.cli.main"])
+    def test_python_m_retlab_runs_without_warning(self, tmp_path, module):
+        """``python -m retlab`` and ``python -m retlab.cli.main`` are the
+        no-install ways to run the command line; neither may trip runpy's
+        double-import RuntimeWarning."""
         package_root = str(Path(retlab.__file__).resolve().parents[1])
         pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "retlab", "--help"],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
             capture_output=True, text=True, timeout=120, cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
         )

@@ -20,6 +20,7 @@ from retlab.distfit import (
     garch11_variance_path,
     gpd_loglike,
     mixture_cdf,
+    mixture_logpdf,
     mixture_pdf,
 )
 from retlab.errors import (
@@ -255,16 +256,18 @@ class TestMixtureEm:
         with pytest.raises(ConvergenceError, match="2-component"):
             fit_mixture_em(mixture_sample(seed=13, n=2000), k_max=2)
 
-    # the E-step overflows on this series (RuntimeWarnings from numpy)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_polish_backs_away_from_an_overflowing_e_step(self):
-        # a generalized-Pareto tail whose first EM restart goes NaN for
-        # k = 2 and 3, and whose k = 2 polish meets E-step moments that
-        # overflow: every k must still end at a finite log-likelihood
+        # a generalized-Pareto tail whose mixture sum is subnormal at some
+        # points, so that moments taken through its reciprocal overflowed:
+        # moments taken from responsibilities stay finite, raise no
+        # warning, and the k = 2 polish converges
         law = {"shape": 0.3, "scale": 0.1, "rate": 0.10, "threshold": 0.5}
         losses = generate(GeneratorSpec("gpd-tail", 20_000, 2925513652634083163, law))
-        fit = fit_mixture_em(losses, k_max=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_mixture_em(losses, k_max=3)
         assert all(math.isfinite(c.log_likelihood) for c in fit.candidates)
+        assert fit.candidates[1].converged
         assert fit.k == 3
 
     def test_estep_matches_logsumexp_reference(self):
@@ -276,16 +279,27 @@ class TestMixtureEm:
         w = np.array([0.5, 0.3, 0.2])
         mu = np.array([-1.0, 0.0, 2.0])
         sd = np.array([0.7, 1.0, 3.0])
+        # the point where the widest component's log density, the largest
+        # there, is log(1e-310): the mixture sum is positive but subnormal
+        # at it, and its reciprocal would overflow
+        c = -0.5 * math.log(2 * math.pi) - math.log(sd[2]) + math.log(w[2])
+        subnormal = mu[2] + sd[2] * math.sqrt(2.0 * (c - math.log(1e-310)))
         for tag, x in [
             ("plain", rng.normal(0.0, 2.0, 500)),
             # the 1e6 outlier underflows every component's density at
             # once, forcing the shifted recomputation branch
             ("outlier", np.append(rng.normal(0.0, 2.0, 500), 1.0e6)),
+            ("subnormal", np.append(rng.normal(0.0, 2.0, 500), subnormal)),
         ]:
             work = _Workspace(x, 3)
-            ll, bulk, sum_x, sum_x2 = work.log_likelihood_and_moments(w, mu, sd)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ll, bulk, sum_x, sum_x2 = work.log_likelihood_and_moments(w, mu, sd)
             z = (x[:, None] - mu[None, :]) / sd[None, :]
             logp = -0.5 * (z**2 + math.log(2 * math.pi)) - np.log(sd) + np.log(w)
+            if tag == "subnormal":
+                smallest = np.exp(logsumexp(logp, axis=1)).min()
+                assert 0.0 < smallest < np.finfo(float).tiny
             expected_ll = float(logsumexp(logp, axis=1).sum())
             assert math.isfinite(ll), f"{tag}: non-finite log-likelihood"
             assert ll == pytest.approx(expected_ll, rel=1e-12), f"{tag} ll"
@@ -293,6 +307,31 @@ class TestMixtureEm:
             assert np.allclose(bulk, r.sum(axis=0), rtol=1e-9), f"{tag} bulk"
             assert np.allclose(sum_x, r.T @ x, rtol=1e-9, atol=1e-12), f"{tag} sum_x"
             assert np.allclose(sum_x2, r.T @ (x * x), rtol=1e-9), f"{tag} sum_x2"
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_logpdf_matches_scipy_logsumexp(self, k):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(30 + k)
+        w = rng.dirichlet(np.ones(k))
+        mu = rng.normal(0.0, 3.0, k)
+        # sds of at least 1 keep every log density below log(0.4), so
+        # that no result cancels to near 0 and ulps compare fairly
+        sd = rng.uniform(1.0, 5.0, k)
+        x = np.concatenate([rng.normal(0.0, 10.0, 5_000), [-1e4, 1e4, np.inf, -np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = mixture_logpdf(x, w, mu, sd)
+        z = (x[:, None] - mu) / sd
+        comp = -0.5 * (z**2 + math.log(2 * math.pi)) - np.log(sd) + np.log(w)
+        theirs = logsumexp(comp, axis=1)
+        # every component is -inf at x = +-inf: the log density is -inf
+        assert np.array_equal(ours[-2:], [-np.inf, -np.inf])
+        assert np.isfinite(ours[:-2]).all()
+        if k == 1:
+            np.testing.assert_array_equal(ours.view(np.int64), theirs.view(np.int64))
+        else:
+            np.testing.assert_array_max_ulp(ours, theirs, 4)
 
 
 def gpd_tail_sample(seed, n=20_000, shape=0.3, scale=2.0, rate=0.10, threshold=5.0):

@@ -262,14 +262,18 @@ class TestRiskReport:
         # its loss is below -100, which bounds returns but not losses
         values = np.random.default_rng(7).normal(0.9, 4.9, 360)
         values[100] = 120.0
-        report = risk_report(series_of(values))
+        # the GARCH fit ends near-integrated
+        with pytest.warns(RuntimeWarning, match="near 1"):
+            report = risk_report(series_of(values))
         assert report.fit_errors == {}
         assert len(report.cells) == 9
         assert all(c.error is None and c.loss is not None for c in report.cells)
 
     def test_out_of_tail_query_fails_only_its_own_cell(self):
         config = RiskConfig(fractiles=(0.85, 0.99))
-        report = risk_report(gaussian_sample(seed=94, n=2000), config=config)
+        # the GARCH fit ends near-integrated
+        with pytest.warns(RuntimeWarning, match="near 1"):
+            report = risk_report(gaussian_sample(seed=94, n=2000), config=config)
         shallow = report.cell("GPD", 0.85)
         assert shallow.loss is None and "coverage" in shallow.error
         assert report.cell("GPD", 0.99).loss is not None
@@ -289,13 +293,16 @@ class TestRiskReport:
         )
         panel = generate(spec)
         target = panel.series[0]
-        raw = risk_report(target)
+        # both GARCH fits, on raw returns and on residuals, end near-integrated
+        with pytest.warns(RuntimeWarning, match="near 1"):
+            raw = risk_report(target)
         jobs, sweep_errors = risk_jobs([target], panel, 1)
         assert sweep_errors == {}
         assert [basis for _, basis in jobs] == ["raw-returns"] + ["residuals"] * 4
         resid_target, _ = jobs[1]
         assert resid_target.label == target.label
-        resid = risk_report(resid_target)
+        with pytest.warns(RuntimeWarning, match="near 1"):
+            resid = risk_report(resid_target)
         assert resid.cell("EM", 0.95).loss < raw.cell("EM", 0.95).loss
 
     def test_thick_tails_beat_the_gaussian_baseline(self):

@@ -79,35 +79,6 @@ def test_fdtrc_is_bit_equal_to_scipy(path):
     assert special.fdtrc(2, 50, np.empty(0)).shape == (0,)
 
 
-def logsumexp_rows(rng, cols, positive, rows=4_000):
-    """Rows of `cols` columns at scales up to 800, with ties with the row
-    maximum, -inf entries and rows of -inf only; the finite entries are at
-    least 1 when `positive`."""
-    a = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-2.0, np.log10(800.0), (rows, 1))
-    if positive:
-        a = np.abs(a) + 1.0
-    tied = rng.random(rows) < 0.2
-    a[tied, -1] = a[tied].max(axis=1)
-    a[rng.random((rows, cols)) < 0.1] = -np.inf
-    a[rng.random(rows) < 0.05] = -np.inf
-    return a
-
-
-@pytest.mark.parametrize("cols", [1, 2, 3, 4, 5])
-def test_logsumexp_matches_scipy(cols):
-    rng = np.random.default_rng(cols)
-    if scipy_version() >= (1, 17):
-        a = logsumexp_rows(rng, cols, positive=False)
-        assert_bits(special.logsumexp(a, axis=1), sc.logsumexp(a, axis=1))
-        assert_bits(special.logsumexp(a.T, axis=0), sc.logsumexp(a.T, axis=0))
-    else:
-        # scipy's earlier formula, log(sum(exp(a - max))) + max, rounds
-        # differently; where every finite entry is at least 1, so is each
-        # result, and the two agree to a few units in the last place
-        a = logsumexp_rows(rng, cols, positive=True)
-        np.testing.assert_array_max_ulp(special.logsumexp(a, axis=1), sc.logsumexp(a, axis=1), 4)
-
-
 def rank_deficient_design(rng, rows, cols):
     """A seeded design with an intercept, some columns copied, scaled or
     combined from others and some zero, at one of a few scales."""
