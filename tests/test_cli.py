@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import importlib.resources
+import inspect
 import json
 import os
 import re
@@ -903,6 +904,19 @@ class TestCommands:
             "autocorr1", "n",
         ]
 
+    def test_summary_records_stage_fields_in_order(self, tmp_path):
+        """Each stage of summary.json records its outcome's fields in
+        this order, with the error null where the stage succeeded."""
+        cfg = write_run_config(tmp_path)
+        assert main(["describe", str(cfg)]) == 0
+        stages = json.loads((tmp_path / "out" / "summary.json").read_text())["stages"]
+        assert [s["name"] for s in stages] == ["ingest", "describe"]
+        for stage in stages:
+            assert list(stage) == ["name", "status", "error", "warnings", "artifacts"]
+            assert stage["status"] == "ok" and stage["error"] is None
+            assert isinstance(stage["warnings"], list)
+        assert "describe.csv" in stages[1]["artifacts"]
+
     def test_risk_models_agree_on_gaussian_data(self, tmp_path):
         gaussian = generate(GeneratorSpec(
             kind="mixture", n=6000, seed=99,
@@ -1023,6 +1037,14 @@ class TestCommands:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: retlab")
+
+    def test_import_of_the_main_module_gives_the_module(self):
+        """``retlab.cli`` does not re-export ``main``, so the submodule
+        is not shadowed by its own entry point."""
+        import retlab.cli.main as cli_main
+
+        assert inspect.ismodule(cli_main)
+        assert cli_main.main is main
 
     @pytest.mark.skipif(shutil.which("retlab") is None, reason="retlab console script not on PATH")
     def test_installed_console_script_smoke(self, tmp_path):
