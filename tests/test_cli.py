@@ -677,6 +677,84 @@ class TestConfig:
         with pytest.raises(ParseError, match="JSON"):
             load_config(cfg)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[factors]\ncount = 0\n", "factor count must be >= 1"),
+        ("[var]\nlag = -1\n", "fixed VAR lag must be >= 0"),
+        ("[var]\nmax_lag = 0\n", "VAR max_lag must be >= 1"),
+        ("[var]\ncriterion = HQ\n", "VAR criterion must be one of ('AIC', 'BIC')"),
+        ("[var]\nforecast_horizon = 0\n", "horizons and correlogram lags must be >= 1"),
+        ("[var]\nirf_horizon = 0\n", "horizons and correlogram lags must be >= 1"),
+        ("[describe]\ncorrelogram_lags = 0\n", "horizons and correlogram lags must be >= 1"),
+        ("[var]\nbootstrap = -1\n", "bootstrap replication count must be >= 0"),
+        ("[inputs]\nlayout = tall\n", "layout must be wide or long, got 'tall'"),
+    ])
+    def test_each_run_config_check_exits_2_with_its_message(
+        self, tmp_path, capsys, monkeypatch, text, message
+    ):
+        monkeypatch.delenv("RETLAB_SEED", raising=False)
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["describe", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("[factors]\ncount = two\n", "[factors] count: expected an integer, got 'two'"),
+        ("[risk]\ngpd_threshold_quantile = high\n",
+         "[risk] gpd_threshold_quantile: expected a number, got 'high'"),
+        ("[risk]\nfractiles = 0.95, x\n", "[risk] fractiles: expected numbers, got '0.95, x'"),
+        ("[risk]\nfractiles =\n", "[risk] fractiles: empty list"),
+        ("[risk]\nfractiles = , ,\n", "[risk] fractiles: empty list"),
+    ])
+    def test_bad_value_text_names_its_key(self, tmp_path, monkeypatch, text, message):
+        monkeypatch.delenv("RETLAB_SEED", raising=False)
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_config(cfg)
+        assert str(info.value) == message
+
+    def test_empty_optional_values_read_as_none(self, tmp_path):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("[var]\nlag =\ncriterion = aic\n[series]\nmarket =\n", encoding="utf-8")
+        config = load_config(cfg)
+        assert config.var_lag is None
+        assert config.market is None
+        assert config.var_criterion == "AIC"
+
+    def test_env_seed_leaves_the_config_seed_unread(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("[run]\nseed = abc\n", encoding="utf-8")
+        monkeypatch.setenv("RETLAB_SEED", "5")
+        config = load_config(cfg)
+        assert (config.seed, config.seed_source) == (5, "env")
+
+    def test_a_config_naming_only_its_returns_takes_every_default(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("RETLAB_SEED", raising=False)
+        (tmp_path / "returns.csv").write_text("date,x\n2000-01,1.0\n", encoding="utf-8")
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("[inputs]\nreturns = returns.csv\n", encoding="utf-8")
+        config = load_config(cfg)
+        assert config.returns_path == tmp_path.resolve() / "returns.csv"
+        assert config.layout == "wide"
+        assert config.constituents_path is None
+        assert config.constituents_label == "PORT"
+        assert config.market is None
+        assert config.panel_members is None
+        assert config.n_factors == 1
+        assert config.risk == risk.RiskConfig()
+        assert config.var_max_lag == 6
+        assert config.var_criterion == "BIC"
+        assert config.var_lag is None
+        assert (config.forecast_horizon, config.irf_horizon) == (12, 24)
+        assert config.n_boot == 500
+        assert config.correlogram_lags == 12
+        assert config.output_dir == Path("out")
+        assert (config.seed, config.seed_source) == (0, "config")
+        assert config.synth_specs == ()
+
 
 def declared_console_script(name):
     """The ``module:attr`` target that pyproject.toml declares for a console script."""
