@@ -1,54 +1,22 @@
 """Run configuration: a plain-text section/key file read by configparser.
 
-Example::
-
-    [run]
-    output = out
-    seed = 20090501
-
-    [inputs]
-    returns = demo_returns.csv
-    layout = wide
-    constituents = demo_constituents.csv
-
-    [series]
-    market = MKT
-    panel = REIT, HOUSE
-    constituents_label = PORT
-
-    [factors]
-    count = 2
-
-    [risk]
-    fractiles = 0.95, 0.99, 0.999
-    garch_conditioning = one-step
-    mixture_k_max = 3
-    gpd_threshold_quantile = 0.90
-
-    [var]
-    max_lag = 6
-    criterion = BIC
-    forecast_horizon = 12
-    irf_horizon = 24
-    bootstrap = 500
-
-    [describe]
-    correlogram_lags = 12
-
-    [synth.noise]
-    kind = garch
-    n = 360
-    seed = 7
-    params = {"mu": 0.3, "omega": 0.2, "alpha": 0.1, "beta": 0.8}
+`KEYS` names every section and key a config may hold, the field each one
+sets and how its text is read. A key left out keeps the default of its
+field on `RunConfig`, on `RiskConfig` for ``[risk]`` or on
+`GeneratorSpec` for ``[synth.<name>]``, so `RunConfig()` is the run of a
+config that names nothing. A ``[synth.<name>]`` section must give
+``kind`` and ``n``; one without ``seed`` draws from the root seed plus
+its position among the synth sections.
 
 Input paths resolve relative to the config file's directory; the output
 directory resolves relative to the working directory of the run, so a
 bundled read-only config still produces local artifacts. The environment
-variable ``RETLAB_SEED``, when set, overrides ``[run] seed``.
+variable ``RETLAB_SEED``, when set, overrides ``[run] seed``, which is
+then not read.
 
-Every section and key must be one shown above or ``[var] lag`` (a fixed
-VAR order in place of the criterion's pick): a misspelt one raises
-ParseError. No ``[DEFAULT]`` section passes its keys to the others.
+A section or key missing from `KEYS` raises ParseError, so a misspelt
+one cannot leave a default in force. No ``[DEFAULT]`` section passes its
+keys to the others.
 """
 
 from __future__ import annotations
@@ -56,7 +24,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..errors import ParseError, ValidationError
@@ -65,17 +33,6 @@ from ..synth import GeneratorSpec
 from ..varmodel.var import _CRITERIA
 
 SEED_ENV_VAR = "RETLAB_SEED"
-# the keys load_config reads; each [synth.<name>] section takes _SYNTH_KEYS
-_KEYS = {
-    "run": ("output", "seed"),
-    "inputs": ("returns", "layout", "constituents"),
-    "series": ("market", "panel", "constituents_label"),
-    "factors": ("count",),
-    "risk": ("fractiles", "garch_conditioning", "mixture_k_max", "gpd_threshold_quantile"),
-    "var": ("max_lag", "criterion", "lag", "forecast_horizon", "irf_horizon", "bootstrap"),
-    "describe": ("correlogram_lags",),
-}
-_SYNTH_KEYS = ("kind", "n", "seed", "params")
 
 
 @dataclass(frozen=True)
@@ -84,28 +41,29 @@ class RunConfig:
 
     `panel_members` is None when the panel should contain every ingested
     series except the market. `seed_source` records whether the root seed
-    came from the config file or the environment override.
+    came from the config file or the environment override. Each default
+    is what a config that leaves the field's key out runs with.
     """
 
-    returns_path: Path | None
-    layout: str
-    constituents_path: Path | None
-    constituents_label: str
-    market: str | None
-    panel_members: tuple[str, ...] | None
-    n_factors: int
-    risk: RiskConfig
-    var_max_lag: int
-    var_criterion: str
-    var_lag: int | None
-    forecast_horizon: int
-    irf_horizon: int
-    n_boot: int
-    correlogram_lags: int
-    output_dir: Path
-    seed: int
-    seed_source: str
-    synth_specs: tuple[tuple[str, GeneratorSpec], ...] = field(default_factory=tuple)
+    returns_path: Path | None = None
+    layout: str = "wide"
+    constituents_path: Path | None = None
+    constituents_label: str = "PORT"
+    market: str | None = None
+    panel_members: tuple[str, ...] | None = None
+    n_factors: int = 1
+    risk: RiskConfig = field(default_factory=RiskConfig)
+    var_max_lag: int = 6
+    var_criterion: str = "BIC"
+    var_lag: int | None = None
+    forecast_horizon: int = 12
+    irf_horizon: int = 24
+    n_boot: int = 500
+    correlogram_lags: int = 12
+    output_dir: Path = Path("out")
+    seed: int = 0
+    seed_source: str = "config"
+    synth_specs: tuple[tuple[str, GeneratorSpec], ...] = ()
 
     def __post_init__(self) -> None:
         if self.n_factors < 1:
@@ -122,42 +80,106 @@ class RunConfig:
             raise ValidationError("bootstrap replication count must be >= 0")
         if self.layout not in ("wide", "long"):
             raise ValidationError(f"layout must be wide or long, got {self.layout!r}")
+        if self.seed < 0:
+            source = SEED_ENV_VAR if self.seed_source == "env" else "[run] seed"
+            raise ValidationError(f"{source}: root seed must be >= 0, got {self.seed}")
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str, default=None):
-    if parser.has_option(section, key):
-        return parser.get(section, key).strip()
-    return default
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
-def _get_int(parser, section, key, default) -> int:
-    raw = _get(parser, section, key)
-    if raw is None:
-        return default
+def _numbers(text: str) -> tuple[float, ...]:
+    numbers = tuple(float(x) for x in _names(text))
+    if not numbers:
+        raise ParseError("empty list")
+    return numbers
+
+
+def _json_object(text: str) -> dict:
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParseError(f"[{section}] {key}: expected an integer, got {raw!r}") from exc
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ParseError("expected a JSON object")
+    return value
 
 
-def _get_float(parser, section, key, default) -> float:
-    raw = _get(parser, section, key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ParseError(f"[{section}] {key}: expected a number, got {raw!r}") from exc
+# [section] key -> (the field it sets, how its stripped text is read, what
+# a text the reader rejects is called). [risk] sets RiskConfig,
+# [synth.<name>] GeneratorSpec and every other section RunConfig. An
+# empty market, panel or VAR lag reads as None.
+KEYS = {
+    "run": {
+        "output": ("output_dir", Path, None),
+        "seed": ("seed", int, "an integer"),
+    },
+    "inputs": {
+        "returns": ("returns_path", Path, None),
+        "layout": ("layout", str, None),
+        "constituents": ("constituents_path", Path, None),
+    },
+    "series": {
+        "market": ("market", lambda text: text or None, None),
+        "panel": ("panel_members", lambda text: _names(text) if text else None, None),
+        "constituents_label": ("constituents_label", str, None),
+    },
+    "factors": {
+        "count": ("n_factors", int, "an integer"),
+    },
+    "risk": {
+        "fractiles": ("fractiles", _numbers, "numbers"),
+        "garch_conditioning": ("garch_conditioning", str, None),
+        "mixture_k_max": ("mixture_k_max", int, "an integer"),
+        "gpd_threshold_quantile": ("gpd_threshold_quantile", float, "a number"),
+    },
+    "var": {
+        "max_lag": ("var_max_lag", int, "an integer"),
+        "criterion": ("var_criterion", str.upper, None),
+        "lag": ("var_lag", lambda text: int(text) if text else None, "an integer"),
+        "forecast_horizon": ("forecast_horizon", int, "an integer"),
+        "irf_horizon": ("irf_horizon", int, "an integer"),
+        "bootstrap": ("n_boot", int, "an integer"),
+    },
+    "describe": {
+        "correlogram_lags": ("correlogram_lags", int, "an integer"),
+    },
+    "synth.<name>": {
+        "kind": ("kind", str, None),
+        "n": ("n", int, "an integer"),
+        "seed": ("seed", int, "an integer"),
+        "params": ("parameters", _json_object, None),
+    },
+}
 
 
-def _name_list(raw: str) -> tuple[str, ...]:
-    return tuple(name.strip() for name in raw.split(",") if name.strip())
+def _keys_of(section: str) -> dict:
+    keys = KEYS.get("synth.<name>" if section.startswith("synth.") else section)
+    if keys is None:
+        raise ParseError(f"[{section}]: unknown section; known: {', '.join(KEYS)}")
+    return keys
 
 
-def _resolve_input(base: Path, raw: str | None, what: str) -> Path | None:
-    if raw is None:
-        return None
-    path = Path(raw)
+def _read(parser: configparser.ConfigParser, section: str, into: dict) -> dict:
+    """`into` plus the field of each key of `section`, in file order; a
+    field `into` already holds (the seed of the environment) is not read."""
+    keys = _keys_of(section)
+    for key, text in parser.items(section):
+        name, read, what = keys[key]
+        if name in into:
+            continue
+        text = text.strip()
+        try:
+            into[name] = read(text)
+        except ParseError as exc:
+            raise ParseError(f"[{section}] {key}: {exc}") from exc
+        except ValueError as exc:
+            raise ParseError(f"[{section}] {key}: expected {what}, got {text!r}") from exc
+    return into
+
+
+def _resolve_input(base: Path, path: Path, what: str) -> Path:
     if not path.is_absolute():
         path = base / path
     if not path.is_file():
@@ -165,57 +187,11 @@ def _resolve_input(base: Path, raw: str | None, what: str) -> Path | None:
     return path
 
 
-def _risk_config(**keys) -> RiskConfig:
-    """RiskConfig of the [risk] keys read; one left out (None) keeps its default."""
-    return RiskConfig(**{name: value for name, value in keys.items() if value is not None})
-
-
-def _check_keys(parser: configparser.ConfigParser) -> None:
-    for section in parser.sections():
-        known = _SYNTH_KEYS if section.startswith("synth.") else _KEYS.get(section)
-        if known is None:
-            raise ParseError(
-                f"[{section}]: unknown section; known: {', '.join(_KEYS)}, synth.<name>"
-            )
-        for key in parser.options(section):
-            if key not in known:
-                raise ParseError(
-                    f"[{section}] {key}: unknown key; known: {', '.join(known)}"
-                )
-
-
-def _synth_sections(
-    parser: configparser.ConfigParser, root_seed: int
-) -> tuple[tuple[str, GeneratorSpec], ...]:
-    specs = []
-    for section in parser.sections():
-        if not section.startswith("synth."):
-            continue
-        name = section[len("synth.") :]
-        if not name:
-            raise ParseError("synth section needs a name: [synth.<name>]")
-        kind = _get(parser, section, "kind")
-        if kind is None:
-            raise ParseError(f"[{section}]: missing 'kind'")
-        n = _get_int(parser, section, "n", 0)
-        # offset by position so two unseeded sections draw different data
-        seed = _get_int(parser, section, "seed", root_seed + len(specs))
-        raw_params = _get(parser, section, "params", "{}")
-        try:
-            params = json.loads(raw_params)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"[{section}] params: invalid JSON: {exc}") from exc
-        if not isinstance(params, dict):
-            raise ParseError(f"[{section}] params: expected a JSON object")
-        try:
-            specs.append((name, GeneratorSpec(kind=kind, n=n, seed=seed, parameters=params)))
-        except ValidationError as exc:
-            raise ParseError(f"[{section}]: {exc}") from exc
-    return tuple(specs)
-
-
 def load_config(path: Path) -> RunConfig:
     """Parse and validate a run configuration file.
+
+    Every section and key is checked before any value is read; values
+    are then read in file order.
 
     Raises:
         ParseError: unreadable or non-UTF-8 file, bad syntax, an unknown
@@ -236,64 +212,49 @@ def load_config(path: Path) -> RunConfig:
         raise ParseError(f"config {path} is not UTF-8: {exc}") from exc
     except configparser.Error as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    _check_keys(parser)
+    for section in parser.sections():
+        keys = _keys_of(section)
+        for key in parser.options(section):
+            if key not in keys:
+                raise ParseError(
+                    f"[{section}] {key}: unknown key; known: {', '.join(keys)}"
+                )
 
-    base = path.resolve().parent
-    returns_raw = _get(parser, "inputs", "returns")
-    returns_path = _resolve_input(base, returns_raw, "returns")
-    constituents_path = _resolve_input(
-        base, _get(parser, "inputs", "constituents"), "constituents"
-    )
-
+    fields: dict = {}
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            fields["seed"] = int(env_seed)
         except ValueError as exc:
             raise ParseError(
                 f"{SEED_ENV_VAR}: expected an integer, got {env_seed!r}"
             ) from exc
-        seed_source = "env"
-    else:
-        seed = _get_int(parser, "run", "seed", 0)
-        seed_source = "config"
+        fields["seed_source"] = "env"
+    risk: dict = {}
+    synth = []
+    for section in parser.sections():
+        if section.startswith("synth."):
+            synth.append((section, _read(parser, section, {})))
+        else:
+            _read(parser, section, risk if section == "risk" else fields)
+    base = path.resolve().parent
+    for name in ("returns_path", "constituents_path"):
+        if name in fields:
+            fields[name] = _resolve_input(base, fields[name], name.removesuffix("_path"))
+    config = RunConfig(**fields, risk=RiskConfig(**risk))
 
-    raw_fractiles = _get(parser, "risk", "fractiles")
-    fractiles = None
-    if raw_fractiles is not None:
+    specs = []
+    for section, values in synth:
+        name = section[len("synth.") :]
+        if not name:
+            raise ParseError("synth section needs a name: [synth.<name>]")
+        if "kind" not in values:
+            raise ParseError(f"[{section}]: missing 'kind'")
+        # a missing n reads as 0, which GeneratorSpec rejects; an unseeded
+        # section is offset by position so two of them draw different data
+        values = {"n": 0, "seed": config.seed + len(specs), **values}
         try:
-            fractiles = tuple(float(x) for x in _name_list(raw_fractiles))
-        except ValueError as exc:
-            raise ParseError(f"[risk] fractiles: expected numbers, got {raw_fractiles!r}") from exc
-        if not fractiles:
-            raise ParseError("[risk] fractiles: empty list")
-
-    members_raw = _get(parser, "series", "panel")
-    var_lag = _get_int(parser, "var", "lag", None) if _get(parser, "var", "lag") else None
-
-    return RunConfig(
-        returns_path=returns_path,
-        layout=_get(parser, "inputs", "layout", "wide"),
-        constituents_path=constituents_path,
-        constituents_label=_get(parser, "series", "constituents_label", "PORT"),
-        market=_get(parser, "series", "market") or None,
-        panel_members=_name_list(members_raw) if members_raw else None,
-        n_factors=_get_int(parser, "factors", "count", 1),
-        risk=_risk_config(
-            fractiles=fractiles,
-            garch_conditioning=_get(parser, "risk", "garch_conditioning"),
-            mixture_k_max=_get_int(parser, "risk", "mixture_k_max", None),
-            gpd_threshold_quantile=_get_float(parser, "risk", "gpd_threshold_quantile", None),
-        ),
-        var_max_lag=_get_int(parser, "var", "max_lag", 6),
-        var_criterion=_get(parser, "var", "criterion", "BIC").upper(),
-        var_lag=var_lag,
-        forecast_horizon=_get_int(parser, "var", "forecast_horizon", 12),
-        irf_horizon=_get_int(parser, "var", "irf_horizon", 24),
-        n_boot=_get_int(parser, "var", "bootstrap", 500),
-        correlogram_lags=_get_int(parser, "describe", "correlogram_lags", 12),
-        output_dir=Path(_get(parser, "run", "output", "out")),
-        seed=seed,
-        seed_source=seed_source,
-        synth_specs=_synth_sections(parser, seed),
-    )
+            specs.append((name, GeneratorSpec(**values)))
+        except ValidationError as exc:
+            raise ParseError(f"[{section}]: {exc}") from exc
+    return replace(config, synth_specs=tuple(specs))

@@ -71,10 +71,11 @@ class StageOutcome:
 class Workspace:
     """Resolved inputs shared by the analysis stages.
 
-    `registry` holds every available series on its full span; `panel` is
-    the configured grouping aligned to its common months. The market
-    series, when configured, is kept out of `panel` unless listed there
-    explicitly.
+    `registry` holds the series of the returns file on the months they all
+    share, since ingest aligns them, and the constituents' value-weighted
+    index on its own span; `panel` is the configured grouping aligned to
+    its common months. The market series, when configured, is kept out of
+    `panel` unless listed there explicitly.
     """
 
     registry: dict[str, ReturnSeries]
@@ -122,7 +123,7 @@ def _load_workspace(config: RunConfig) -> Workspace:
 
 
 def _targets(ws: Workspace) -> list[ReturnSeries]:
-    """Panel members (full span) followed by the market when distinct."""
+    """Panel members on their registry spans, then the market when distinct."""
     out = [ws.registry[label] for label in ws.panel.labels]
     if ws.market is not None and ws.market.label not in ws.panel.labels:
         out.append(ws.market)

@@ -170,6 +170,13 @@ def _newton_polish(xi, t, y, max_steps=40):
     return xi, math.exp(t), ll, score
 
 
+def check_threshold_quantile(threshold_quantile: float) -> None:
+    if not 0.0 < threshold_quantile < 1.0:
+        raise ValidationError(
+            f"threshold quantile must lie in (0,1), got {threshold_quantile}"
+        )
+
+
 def fit_gpd_pot(losses: Series, threshold_quantile: float = 0.90) -> GpdFit:
     """Fit a GPD to the exceedances of a loss series over an empirical
     threshold quantile.
@@ -180,10 +187,7 @@ def fit_gpd_pot(losses: Series, threshold_quantile: float = 0.90) -> GpdFit:
         DegenerateVarianceError: exceedances carry no spread.
         ConvergenceError: the score norm cannot be pushed below 1e-8.
     """
-    if not 0.0 < threshold_quantile < 1.0:
-        raise ValidationError(
-            f"threshold quantile must lie in (0,1), got {threshold_quantile}"
-        )
+    check_threshold_quantile(threshold_quantile)
     x = losses.values
     n = len(x)
     u = float(sorted_quantile(np.sort(x), threshold_quantile))

@@ -397,6 +397,11 @@ def _fit_k(x: np.ndarray, k: int) -> MixtureFit:
     )
 
 
+def check_k_max(k_max: int) -> None:
+    if k_max not in (1, 2, 3):
+        raise ValidationError(f"k_max must be 1, 2, or 3, got {k_max}")
+
+
 def fit_mixture_em(s: Series, k_max: int = 3) -> MixtureFit:
     """Fit mixtures with 1..k_max components and return the BIC minimizer.
 
@@ -407,8 +412,7 @@ def fit_mixture_em(s: Series, k_max: int = 3) -> MixtureFit:
         ConvergenceError: every EM restart for some k ends at a
             log-likelihood that is not finite.
     """
-    if k_max not in (1, 2, 3):
-        raise ValidationError(f"k_max must be 1, 2, or 3, got {k_max}")
+    check_k_max(k_max)
     n = len(s)
     if n < 30:
         raise InsufficientDataError(f"mixture fit needs n >= 30, got {n}")

@@ -24,6 +24,8 @@ from .distfit import (
     fit_mixture_em,
     mixture_cdf,
 )
+from .distfit.gpd import check_threshold_quantile
+from .distfit.mixture import check_k_max
 from .errors import (
     InfiniteMeanError,
     OutOfTailError,
@@ -72,6 +74,8 @@ class RiskConfig:
                 f"garch_conditioning must be one of {GARCH_CONDITIONINGS}, "
                 f"got {self.garch_conditioning!r}"
             )
+        check_k_max(self.mixture_k_max)
+        check_threshold_quantile(self.gpd_threshold_quantile)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import retlab
 from retlab import risk
 from retlab.cli import ingest, ingest_constituents, ingest_long, ingest_wide, pipeline
 from retlab.cli import io as cli_io
-from retlab.cli.config import load_config
+from retlab.cli.config import KEYS, RunConfig, load_config
 from retlab.cli.io import write_csv, write_panel
 from retlab.cli.main import main
 from retlab.descstats import describe
@@ -692,6 +692,7 @@ class TestConfig:
         self, tmp_path, capsys, monkeypatch, text, message
     ):
         monkeypatch.delenv("RETLAB_SEED", raising=False)
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "r.cfg"
         cfg.write_text(text, encoding="utf-8")
         assert main(["describe", str(cfg)]) == 2
@@ -754,6 +755,87 @@ class TestConfig:
         assert config.output_dir == Path("out")
         assert (config.seed, config.seed_source) == (0, "config")
         assert config.synth_specs == ()
+
+    def test_a_config_naming_nothing_is_the_default_run_config(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("RETLAB_SEED", raising=False)
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("; nothing set\n", encoding="utf-8")
+        assert load_config(cfg) == RunConfig()
+
+    @pytest.mark.parametrize("text, env, message", [
+        ("[run]\nseed = -1\n", None, "[run] seed: root seed must be >= 0, got -1"),
+        ("[run]\nseed = 3\n", "-1", "RETLAB_SEED: root seed must be >= 0, got -1"),
+        # the root seed is named, not the synth section that would draw from it
+        ("[run]\nseed = -2\n[synth.x]\nkind = garch\nn = 50\n", None,
+         "[run] seed: root seed must be >= 0, got -2"),
+    ])
+    def test_a_negative_root_seed_exits_2_naming_its_source(
+        self, tmp_path, capsys, monkeypatch, text, env, message
+    ):
+        if env is None:
+            monkeypatch.delenv("RETLAB_SEED", raising=False)
+        else:
+            monkeypatch.setenv("RETLAB_SEED", env)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["describe", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[risk]\nmixture_k_max = 5\n", "k_max must be 1, 2, or 3, got 5"),
+        ("[risk]\ngpd_threshold_quantile = 1.5\n", "threshold quantile must lie in (0,1), got 1.5"),
+    ])
+    def test_risk_settings_the_fitters_reject_fail_at_load(
+        self, tmp_path, capsys, monkeypatch, text, message
+    ):
+        monkeypatch.delenv("RETLAB_SEED", raising=False)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["risk", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def documented_keys(lines):
+    """{section: keys} of INI lines; a commented-out `; key = value` names its key."""
+    keys, section = {}, None
+    for line in lines:
+        line = line.strip()
+        header = re.fullmatch(r"\[(.+)\]", line)
+        if header:
+            section = header.group(1)
+            if section.startswith("synth."):
+                section = "synth.<name>"
+            keys.setdefault(section, set())
+            continue
+        key = re.match(r";?\s*([a-z_]+)\s*=", line)
+        if key and section is not None:
+            keys[section].add(key.group(1))
+    return keys
+
+
+class TestConfigDocs:
+    """README's config block and the bundled demo.cfg name only keys of the
+    config table, and the README block names every one of them."""
+
+    table = {section: set(keys) for section, keys in KEYS.items()}
+
+    def readme_block(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+        assert len(blocks) == 1
+        return blocks[0].splitlines()
+
+    def test_readme_block_names_every_key_of_the_table(self):
+        assert documented_keys(self.readme_block()) == self.table
+
+    def test_demo_config_names_only_keys_of_the_table(self):
+        lines = (DEMO_DIR / "demo.cfg").read_text(encoding="utf-8").splitlines()
+        keys = documented_keys(lines)
+        assert keys.keys() <= self.table.keys()
+        for section, names in keys.items():
+            assert names <= self.table[section], section
 
 
 def declared_console_script(name):

@@ -10,7 +10,15 @@ from scipy.optimize import brentq
 from scipy.stats import kurtosis, norm
 
 from retlab import risk
-from retlab.distfit import GpdFit, MixtureFit, fit_garch11, fit_mixture_em, mixture_cdf, mixture_pdf
+from retlab.distfit import (
+    GpdFit,
+    MixtureFit,
+    fit_garch11,
+    fit_gpd_pot,
+    fit_mixture_em,
+    mixture_cdf,
+    mixture_pdf,
+)
 from retlab.errors import (
     InfiniteMeanError,
     OutOfTailError,
@@ -359,3 +367,19 @@ class TestRiskReport:
             RiskConfig(fractiles=())
         with pytest.raises(ValidationError):
             RiskConfig(garch_conditioning="two-step")
+
+    @pytest.mark.parametrize("setting, fitter, argument, value, message", [
+        ("mixture_k_max", fit_mixture_em, "k_max", 5, "k_max must be 1, 2, or 3, got 5"),
+        ("mixture_k_max", fit_mixture_em, "k_max", 0, "k_max must be 1, 2, or 3, got 0"),
+        ("gpd_threshold_quantile", fit_gpd_pot, "threshold_quantile", 1.5,
+         r"threshold quantile must lie in \(0,1\), got 1.5"),
+        ("gpd_threshold_quantile", fit_gpd_pot, "threshold_quantile", 0.0,
+         r"threshold quantile must lie in \(0,1\), got 0.0"),
+    ])
+    def test_config_rejects_what_the_fitters_reject(self, setting, fitter, argument, value, message):
+        # the fitter's own text, so a bad setting fails when the config is
+        # made rather than filling every cell's note
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            RiskConfig(**{setting: value})
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            fitter(gaussian_sample(seed=3, n=200), **{argument: value})
